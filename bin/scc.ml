@@ -15,19 +15,16 @@
      scc diff BASE CUR  classify metric deltas against a baseline;
                         exit 1 on a QoR regression
 
-   layout/behavior also take --verify, which formally certifies the
-   stage: behavior equivalence-checks the optimizer's output against the
-   raw translation, layout equivalence-checks the primitive cell
-   artwork (extracted and exhaustively tabulated at switch level)
-   against its gate specification.
-
-   layout/behavior/isp take --stats (per-stage time/counter table from
-   the Sc_obs spans), --trace FILE (Chrome trace-event JSON for
-   chrome://tracing or ui.perfetto.dev) and --metrics FILE (versioned
-   QoR + runtime snapshot JSON, the input of report/diff).  They also
-   take --stage-cache DIR (persist every pass artifact of the
-   Sc_pipeline pass manager, so recompiles are incremental) and
-   --explain (print which passes ran vs hit the cache). *)
+   The four compile commands (layout, behavior, isp, verilog) share
+   one flags record and one driver.  They take --stats (per-stage
+   time/counter table from the Sc_obs spans), --trace FILE (Chrome
+   trace-event JSON for chrome://tracing or ui.perfetto.dev) and
+   --metrics FILE (versioned QoR + runtime snapshot JSON, the input of
+   report/diff).  They also take -j N (worker domains), --stage-cache
+   DIR (persist every pass artifact of the Sc_pipeline pass manager, so
+   recompiles are incremental), --explain (print which passes ran vs
+   hit the cache) and --certify (every netlist-to-netlist pass proves
+   its output equivalent to its input before the pipeline goes on). *)
 
 open Cmdliner
 
@@ -55,7 +52,7 @@ let report_compiled (c : Sc_core.Compiler.compiled) =
     (if c.Sc_core.Compiler.drc_violations = 0 then "clean"
      else string_of_int c.Sc_core.Compiler.drc_violations ^ " violations")
 
-(* --- layout --- *)
+(* --- arguments --- *)
 
 let file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"Input file.")
@@ -77,14 +74,6 @@ let args_arg =
     value
     & opt (list int) []
     & info [ "a"; "args" ] ~docv:"INTS" ~doc:"Entry cell arguments.")
-
-let verify_arg =
-  Arg.(
-    value & flag
-    & info [ "verify" ]
-        ~doc:"Formally certify the compilation stage with the BDD engine.")
-
-(* --- parallelism / caching --- *)
 
 let jobs_arg =
   Arg.(
@@ -111,13 +100,6 @@ let stage_cache_arg =
            across processes: recompiling after a $(b,--restarts) \
            change reruns only place and later passes, and an \
            unchanged source reruns nothing.")
-
-let cache_dir_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "cache-dir" ] ~docv:"DIR"
-        ~doc:"Deprecated alias for $(b,--stage-cache).")
 
 let explain_arg =
   Arg.(
@@ -159,34 +141,6 @@ let inject_fault_arg =
            leaves the optimize pass (fault-injection demo — with \
            $(b,--certify) the pipeline must refuse it).")
 
-(* stage-cache plumbing shared by the compile commands: enable the
-   pipeline store (when asked) and certification (when asked), run,
-   then print the per-pass outcomes (--explain) and cache stats to
-   stderr *)
-let with_pipeline ~stage_cache ~cache_dir ~explain ?(certify = false) k =
-  let dir = match stage_cache with Some _ -> stage_cache | None -> cache_dir in
-  (match dir with
-  | Some dir -> Sc_pipeline.Pipeline.enable_cache ~dir ()
-  | None -> ());
-  if certify then Sc_pipeline.Pipeline.enable_certify ();
-  Sc_pipeline.Pipeline.reset_log ();
-  let r = k () in
-  if explain then
-    Format.eprintf "%a%!" Sc_pipeline.Pipeline.pp_explain ();
-  if dir <> None then
-    List.iter
-      (fun (name, s) ->
-        Printf.eprintf "cache %s: %s\n%!" name
-          (Format.asprintf "%a" Sc_cache.Cache.pp_stats s))
-      (Sc_pipeline.Pipeline.cache_stats ());
-  r
-
-let report_diag d =
-  Printf.eprintf "error: %s\n" (Sc_pipeline.Diag.to_string d);
-  1
-
-(* --- observability: --stats / --trace / --metrics --- *)
-
 let stats_arg =
   Arg.(
     value & flag
@@ -212,27 +166,65 @@ let metrics_arg =
            JSON) to $(docv); render it with $(b,scc report), compare \
            against a baseline with $(b,scc diff).")
 
-(* [instrumented ~stats ~trace ~metrics ~design ~table k] runs [k] with
-   the span recorder on when any sink was requested; [table] is where
-   the summary goes (stdout for isp, stderr for the CIF-printing
-   commands).  The snapshot is captured before the recorder is
-   disabled, even when [k] fails, so a crashing compile still leaves
-   its partial telemetry behind. *)
-let instrumented ~stats ~trace ~metrics ~design ~table k =
-  let want = stats || trace <> None || metrics <> None in
+(* --- the compile driver: layout, behavior, isp and verilog --- *)
+
+type flags =
+  { jobs : int
+  ; stage_cache : string option
+  ; explain : bool
+  ; certify : bool
+  ; stats : bool
+  ; trace : string option
+  ; metrics : string option
+  }
+
+let flags_term =
+  let make jobs stage_cache explain certify stats trace metrics =
+    { jobs; stage_cache; explain; certify; stats; trace; metrics }
+  in
+  Term.(
+    const make $ jobs_arg $ stage_cache_arg $ explain_arg $ certify_arg
+    $ stats_arg $ trace_arg $ metrics_arg)
+
+let report_diag d =
+  Printf.eprintf "error: %s\n" (Sc_pipeline.Diag.to_string d);
+  1
+
+(* [compile f ~design ~cif_on_stdout ~output k] runs the compile thunk
+   [k] the way every compile command does.  It sizes the default pool,
+   enables the stage cache and certification when asked, and turns the
+   span recorder on when a telemetry sink is wanted.  A successful
+   compile reports the netlist size (when [k] has a netlist), the cell
+   summary and the CIF.  stdout carries either the CIF
+   ([cif_on_stdout]: layout, behavior) or the --stats table (isp,
+   verilog, which write CIF only on -o).  The snapshot is captured
+   before the recorder is disabled, even when [k] raises, so a crashing
+   compile still leaves its partial telemetry behind.  Last come the
+   per-pass outcomes (--explain) and the cache stats, on stderr. *)
+let compile f ~design ~cif_on_stdout ~output k =
+  Sc_par.Pool.set_default_size f.jobs;
+  (match f.stage_cache with
+  | Some dir -> Sc_pipeline.Pipeline.enable_cache ~dir ()
+  | None -> ());
+  if f.certify then Sc_pipeline.Pipeline.enable_certify ();
+  Sc_pipeline.Pipeline.reset_log ();
+  let want = f.stats || f.trace <> None || f.metrics <> None in
   if want then begin
     Sc_obs.Obs.reset ();
     Sc_obs.Obs.enable ()
   end;
   let finish () =
     if want then begin
-      if stats then Format.fprintf table "%a@?" Sc_obs.Obs.pp_summary ();
-      (match trace with
+      if f.stats then
+        Format.fprintf
+          (if cif_on_stdout then Format.err_formatter else Format.std_formatter)
+          "%a@?" Sc_obs.Obs.pp_summary ();
+      (match f.trace with
       | Some path ->
         Sc_obs.Obs.write_trace path;
         Printf.eprintf "trace written to %s\n%!" path
       | None -> ());
-      (match metrics with
+      (match f.metrics with
       | Some path ->
         Sc_metrics.Metrics.write path (Sc_metrics.Metrics.capture ~design ());
         Printf.eprintf "metrics written to %s\n%!" path
@@ -240,80 +232,63 @@ let instrumented ~stats ~trace ~metrics ~design ~table k =
       Sc_obs.Obs.disable ()
     end
   in
-  match k () with
-  | code ->
-    finish ();
-    code
-  | exception e ->
-    finish ();
-    raise e
+  let report () =
+    match k () with
+    | Error d -> report_diag d
+    | Ok (c, netlist) ->
+      Option.iter
+        (fun circuit ->
+          let s = Sc_netlist.Circuit.stats circuit in
+          Printf.eprintf "netlist: %d gates, %d flip-flops\n%!"
+            s.Sc_netlist.Circuit.gate_total s.Sc_netlist.Circuit.flipflops)
+        netlist;
+      report_compiled c;
+      if cif_on_stdout || output <> None then
+        write_out output c.Sc_core.Compiler.cif;
+      0
+  in
+  let code =
+    match report () with
+    | code ->
+      finish ();
+      code
+    | exception e ->
+      finish ();
+      raise e
+  in
+  if f.explain then Format.eprintf "%a%!" Sc_pipeline.Pipeline.pp_explain ();
+  if f.stage_cache <> None then
+    List.iter
+      (fun (name, s) ->
+        Printf.eprintf "cache %s: %s\n%!" name
+          (Format.asprintf "%a" Sc_cache.Cache.pp_stats s))
+      (Sc_pipeline.Pipeline.cache_stats ());
+  code
 
 let design_of_path path = Filename.remove_extension (Filename.basename path)
 
-(* certify the primitive cell library: extract each cell's masks,
-   tabulate the transistor netlist at switch level, and prove the result
-   equal to the gate the library claims the cell implements *)
-let verify_cell_library () =
-  let gate_ref name kind ins =
-    let b = Sc_netlist.Builder.create name in
-    let nets = List.map (fun n -> (Sc_netlist.Builder.input b n 1).(0)) ins in
-    Sc_netlist.Builder.output b "y"
-      [| Sc_netlist.Builder.gate b kind (Array.of_list nets) |];
-    Sc_netlist.Builder.finish b
-  in
-  let bad =
-    List.fold_left
-      (fun bad (name, cell, kind, ins) ->
-        match
-          Sc_equiv.Checker.check_artwork cell ~inputs:ins ~outputs:[ "y" ]
-            (gate_ref name kind ins)
-        with
-        | Sc_equiv.Checker.Equivalent ->
-          Printf.eprintf "verify: artwork %-6s equivalent to its gate\n%!" name;
-          bad
-        | Sc_equiv.Checker.Not_equivalent _ as v ->
-          Printf.eprintf "verify: artwork %s FAILED: %s\n%!" name
-            (Format.asprintf "%a" Sc_equiv.Checker.pp_verdict v);
-          bad + 1)
-      0
-      [ ("inv", Sc_stdcell.Nmos.inv (), Sc_netlist.Gate.Inv, [ "a" ])
-      ; ("nand2", Sc_stdcell.Nmos.nand 2, Sc_netlist.Gate.Nand2, [ "a"; "b" ])
-      ; ("nand3", Sc_stdcell.Nmos.nand 3, Sc_netlist.Gate.Nand3, [ "a"; "b"; "c" ])
-      ; ("nor2", Sc_stdcell.Nmos.nor2 (), Sc_netlist.Gate.Nor2, [ "a"; "b" ])
-      ]
-  in
-  (* and the full library's artwork passes DRC (memoized per geometry) *)
-  List.fold_left
-    (fun bad kind ->
-      if Sc_stdcell.Library.drc_clean kind then bad
-      else begin
-        Printf.eprintf "verify: cell %s FAILED DRC: %d violations\n%!"
-          (Sc_netlist.Gate.to_string kind)
-          (Sc_stdcell.Library.drc_violations kind);
-        bad + 1
-      end)
-    bad Sc_netlist.Gate.all
+(* a builtin design name, else an ISP file path *)
+let design_source design =
+  match Sc_core.Designs.builtin design with
+  | Some _ as s -> s
+  | None when Sys.file_exists design -> Some (read_file design)
+  | None -> None
+
+(* the behavioral paths report their netlist too *)
+let with_netlist r = Result.map (fun (c, circuit) -> (c, Some circuit)) r
 
 let layout_cmd =
-  let run file entry args output verify stats trace metrics jobs stage_cache
-      cache_dir explain certify =
-    with_jobs jobs @@ fun () ->
-    with_pipeline ~stage_cache ~cache_dir ~explain ~certify @@ fun () ->
-    instrumented ~stats ~trace ~metrics ~design:(design_of_path file)
-      ~table:Format.err_formatter (fun () ->
-        match Sc_core.Compiler.compile_layout ?entry ~args (read_file file) with
-        | Error d -> report_diag d
-        | Ok c ->
-          report_compiled c;
-          write_out output c.Sc_core.Compiler.cif;
-          if verify then (if verify_cell_library () = 0 then 0 else 1) else 0)
+  let run file entry args output flags =
+    compile flags ~design:(design_of_path file) ~cif_on_stdout:true ~output
+      (fun () ->
+        Result.map
+          (fun c -> (c, None))
+          (Sc_core.Compiler.compile_layout ?entry ~args (read_file file)))
   in
   Cmd.v
     (Cmd.info "layout" ~doc:"Compile a layout-language program to CIF.")
     Term.(
-      const run $ file_arg $ entry_arg $ args_arg $ output_arg $ verify_arg
-      $ stats_arg $ trace_arg $ metrics_arg $ jobs_arg $ stage_cache_arg
-      $ cache_dir_arg $ explain_arg $ certify_arg)
+      const run $ file_arg $ entry_arg $ args_arg $ output_arg $ flags_term)
 
 (* --- behavior --- *)
 
@@ -345,55 +320,20 @@ let check_modular ~modular src k =
   end
   else k ()
 
-let behavior_run ?restarts ?inject_fault src style output verify =
-  match Sc_core.Compiler.compile_behavior ~style ?restarts ?inject_fault src with
-  | Error d -> report_diag d
-  | Ok (c, circuit) ->
-    let s = Sc_netlist.Circuit.stats circuit in
-    Printf.eprintf "netlist: %d gates, %d flip-flops\n%!"
-      s.Sc_netlist.Circuit.gate_total s.Sc_netlist.Circuit.flipflops;
-    report_compiled c;
-    (match output with
-    | Some _ -> write_out output c.Sc_core.Compiler.cif
-    | None -> print_string c.Sc_core.Compiler.cif);
-    if verify then begin
-      (* the self-check re-synthesizes and proves the optimized netlist
-         equivalent to the raw translation *)
-      match Sc_rtl.Parser.parse src with
-      | Error e ->
-        Printf.eprintf "verify: parse error: %s\n" e;
-        1
-      | Ok design -> (
-        match Sc_synth.Synth.gates ~selfcheck:true design with
-        | _ ->
-          Printf.eprintf
-            "verify: optimized netlist proven equivalent to raw \
-             translation\n%!";
-          0
-        | exception Sc_pipeline.Diag.Error d ->
-          Printf.eprintf "verify: %s\n" (Sc_pipeline.Diag.to_string d);
-          1)
-    end
-    else 0
-
 let behavior_cmd =
-  let run file style output verify stats trace metrics jobs stage_cache
-      cache_dir explain restarts certify inject_fault modular =
+  let run file style output flags restarts inject_fault modular =
     let src = read_file file in
     check_modular ~modular src @@ fun () ->
-    with_jobs jobs @@ fun () ->
-    with_pipeline ~stage_cache ~cache_dir ~explain ~certify @@ fun () ->
-    instrumented ~stats ~trace ~metrics ~design:(design_of_path file)
-      ~table:Format.err_formatter (fun () ->
-        behavior_run ~restarts ?inject_fault src style output verify)
+    compile flags ~design:(design_of_path file) ~cif_on_stdout:true ~output
+      (fun () ->
+        with_netlist
+          (Sc_core.Compiler.compile_behavior ~style ~restarts ?inject_fault src))
   in
   Cmd.v
     (Cmd.info "behavior" ~doc:"Compile an ISP behavioral description to CIF.")
     Term.(
-      const run $ file_arg $ style_arg $ output_arg $ verify_arg $ stats_arg
-      $ trace_arg $ metrics_arg $ jobs_arg $ stage_cache_arg $ cache_dir_arg
-      $ explain_arg $ restarts_arg $ certify_arg $ inject_fault_arg
-      $ modular_arg)
+      const run $ file_arg $ style_arg $ output_arg $ flags_term $ restarts_arg
+      $ inject_fault_arg $ modular_arg)
 
 (* --- isp: builtin designs (or files) through the full behavioral path,
    built for profiling: the stage table goes to stdout, CIF is written
@@ -410,39 +350,19 @@ let isp_cmd =
              $(b,gray), $(b,seqdet), $(b,pdp8), $(b,pdp8_dp), $(b,system)) or an ISP \
              file path.")
   in
-  let run design style output stats trace metrics jobs stage_cache cache_dir
-      explain restarts certify inject_fault modular =
-    let src =
-      match Sc_core.Designs.builtin design with
-      | Some _ as s -> s
-      | None when Sys.file_exists design -> Some (read_file design)
-      | None -> None
-    in
-    match src with
+  let run design style output flags restarts inject_fault modular =
+    match design_source design with
     | None ->
       Printf.eprintf "error: %s is neither a builtin design nor a file\n"
         design;
       2
     | Some src ->
       check_modular ~modular src @@ fun () ->
-      with_jobs jobs @@ fun () ->
-      with_pipeline ~stage_cache ~cache_dir ~explain ~certify @@ fun () ->
-      instrumented ~stats ~trace ~metrics ~design:(design_of_path design)
-        ~table:Format.std_formatter (fun () ->
-          match
-            Sc_core.Compiler.compile_behavior ~style ~restarts ?inject_fault
-              src
-          with
-          | Error d -> report_diag d
-          | Ok (c, circuit) ->
-            let s = Sc_netlist.Circuit.stats circuit in
-            Printf.eprintf "netlist: %d gates, %d flip-flops\n%!"
-              s.Sc_netlist.Circuit.gate_total s.Sc_netlist.Circuit.flipflops;
-            report_compiled c;
-            (match output with
-            | Some _ -> write_out output c.Sc_core.Compiler.cif
-            | None -> ());
-            0)
+      compile flags ~design:(design_of_path design) ~cif_on_stdout:false
+        ~output (fun () ->
+          with_netlist
+            (Sc_core.Compiler.compile_behavior ~style ~restarts ?inject_fault
+               src))
   in
   Cmd.v
     (Cmd.info "isp"
@@ -450,9 +370,8 @@ let isp_cmd =
          "Compile a builtin ISP design (or file) to layout, reporting \
           where the time and area go (see --stats/--trace).")
     Term.(
-      const run $ design_arg $ style_arg $ output_arg $ stats_arg $ trace_arg
-      $ metrics_arg $ jobs_arg $ stage_cache_arg $ cache_dir_arg $ explain_arg
-      $ restarts_arg $ certify_arg $ inject_fault_arg $ modular_arg)
+      const run $ design_arg $ style_arg $ output_arg $ flags_term
+      $ restarts_arg $ inject_fault_arg $ modular_arg)
 
 (* --- verilog: the second behavioral frontend; elaborates to the same
    design IR as the ISP parser and runs the identical gates pipeline *)
@@ -466,8 +385,7 @@ let verilog_cmd =
             "Print the elaborated design in the ISP-level IR instead of \
              compiling (shows exactly what the shared pipeline will see).")
   in
-  let run file output dump_isp stats trace metrics jobs stage_cache cache_dir
-      explain restarts certify inject_fault =
+  let run file output dump_isp flags restarts inject_fault =
     let src = read_file file in
     if dump_isp then (
       match Sc_core.Compiler.verilog_design src with
@@ -476,21 +394,10 @@ let verilog_cmd =
         Format.printf "%a@." Sc_rtl.Ast.pp design;
         0)
     else
-      with_jobs jobs @@ fun () ->
-      with_pipeline ~stage_cache ~cache_dir ~explain ~certify @@ fun () ->
-      instrumented ~stats ~trace ~metrics ~design:(design_of_path file)
-        ~table:Format.std_formatter (fun () ->
-          match Sc_core.Compiler.compile_verilog ~restarts ?inject_fault src with
-          | Error d -> report_diag d
-          | Ok (c, circuit) ->
-            let s = Sc_netlist.Circuit.stats circuit in
-            Printf.eprintf "netlist: %d gates, %d flip-flops\n%!"
-              s.Sc_netlist.Circuit.gate_total s.Sc_netlist.Circuit.flipflops;
-            report_compiled c;
-            (match output with
-            | Some _ -> write_out output c.Sc_core.Compiler.cif
-            | None -> ());
-            0)
+      compile flags ~design:(design_of_path file) ~cif_on_stdout:false ~output
+        (fun () ->
+          with_netlist
+            (Sc_core.Compiler.compile_verilog ~restarts ?inject_fault src))
   in
   Cmd.v
     (Cmd.info "verilog"
@@ -499,9 +406,8 @@ let verilog_cmd =
           shared behavioral pipeline (the supported subset is documented \
           in docs/VERILOG.md).")
     Term.(
-      const run $ file_arg $ output_arg $ dump_isp_arg $ stats_arg $ trace_arg
-      $ metrics_arg $ jobs_arg $ stage_cache_arg $ cache_dir_arg $ explain_arg
-      $ restarts_arg $ certify_arg $ inject_fault_arg)
+      const run $ file_arg $ output_arg $ dump_isp_arg $ flags_term
+      $ restarts_arg $ inject_fault_arg)
 
 (* --- drc / stats on CIF files --- *)
 
@@ -611,46 +517,27 @@ let sim_cmd =
 
 (* --- equiv --- *)
 
-(* A circuit spec is one of:
-     hand:NAME   a hand-built baseline from Sc_core.Designs
-     isp:NAME    a builtin ISP source, synthesized
-     PATH        an ISP file, synthesized *)
+(* A circuit spec is hand:NAME or isp:NAME (Sc_core.Designs), else an
+   ISP file or a .v Verilog file, synthesized *)
 let resolve_circuit spec =
-  let synth src =
-    (Sc_synth.Synth.gates (Sc_core.Designs.parse src)).Sc_synth.Synth.circuit
-  in
-  try
-    match String.index_opt spec ':' with
-  | Some i when String.sub spec 0 i = "hand" -> (
-    match String.sub spec (i + 1) (String.length spec - i - 1) with
-    | "counter" -> Ok (Sc_core.Designs.hand_counter ())
-    | "traffic" -> Ok (Sc_core.Designs.hand_traffic ())
-    | "alu" -> Ok (Sc_core.Designs.hand_alu ())
-    | "pdp8" -> Ok (Sc_core.Designs.hand_pdp8 ())
-    | "pdp8_dp" -> Ok (Sc_core.Designs.hand_pdp8_dp ())
-    | n -> Error ("unknown hand design " ^ n))
-  | Some i when String.sub spec 0 i = "isp" -> (
-    match
-      Sc_core.Designs.builtin
-        (String.sub spec (i + 1) (String.length spec - i - 1))
-    with
-    | Some src -> Ok (synth src)
-    | None ->
-      Error
-        ("unknown builtin design "
-        ^ String.sub spec (i + 1) (String.length spec - i - 1)))
-    | _ ->
+  match Sc_core.Designs.resolve_circuit spec with
+  | Some r -> r
+  | None -> (
+    let synth design =
+      Ok (Sc_synth.Synth.gates design).Sc_synth.Synth.circuit
+    in
+    try
       if not (Sys.file_exists spec) then Error ("no such file: " ^ spec)
-      else if Filename.check_suffix spec ".v" then (
+      else if Filename.check_suffix spec ".v" then
         match Sc_core.Compiler.verilog_design (read_file spec) with
         | Error d -> Error (spec ^ ": " ^ Sc_pipeline.Diag.to_string d)
-        | Ok design -> Ok (Sc_synth.Synth.gates design).Sc_synth.Synth.circuit)
-      else (
+        | Ok design -> synth design
+      else
         match Sc_rtl.Parser.parse (read_file spec) with
         | Error e -> Error (spec ^ ": " ^ e)
-        | Ok design -> Ok (Sc_synth.Synth.gates design).Sc_synth.Synth.circuit)
-  with Sc_pipeline.Diag.Error d ->
-    Error (spec ^ ": " ^ Sc_pipeline.Diag.to_string d)
+        | Ok design -> synth design
+    with Sc_pipeline.Diag.Error d ->
+      Error (spec ^ ": " ^ Sc_pipeline.Diag.to_string d))
 
 let equiv_cmd =
   let spec_arg idx name =
@@ -925,7 +812,7 @@ let serve_cmd =
          "Run the compile daemon: a long-running process multiplexing \
           concurrent compilations over one shared stage cache.  Clients \
           connect over the Unix-domain socket ($(b,scc client)); \
-          identical in-flight requests are deduplicated; each execution \
+          identical in-flight requests share one execution; each execution \
           records into its own per-request recorder, so instrumented \
           compiles overlap.  Telemetry: per-verb latency histograms \
           ($(b,scc client stats)), a structured JSONL log ($(b,--log)), \
@@ -945,19 +832,16 @@ let resolve_spec ?(certify = false) design style restarts =
     | Sc_core.Compiler.Pla_control -> "pla"
     | Sc_core.Compiler.Random_logic -> "gates"
   in
-  match Sc_core.Designs.builtin design with
+  match design_source design with
   | Some source ->
-    Ok { Sc_serve.Protocol.design; source; style; restarts; certify }
-  | None when Sys.file_exists design ->
     Ok
       { Sc_serve.Protocol.design = design_of_path design
-      ; source = read_file design
+      ; source
       ; style
       ; restarts
       ; certify
       }
-  | None ->
-    Error (design ^ " is neither a builtin design nor a file")
+  | None -> Error (design ^ " is neither a builtin design nor a file")
 
 let client_design_arg =
   Arg.(
@@ -1013,6 +897,31 @@ let client_compile_rpc socket spec metrics explain =
           0))
     | _ -> unexpected ())
 
+(* parse a baseline snapshot, resolve the spec, then send a Diff RPC:
+   print the daemon's report and exit 1 when the quality gate trips *)
+let client_diff_rpc socket bpath spec =
+  match Sc_obs.Json.parse (read_file bpath) with
+  | Error e ->
+    Printf.eprintf "error: %s: %s\n" bpath e;
+    2
+  | Ok base -> (
+    match spec () with
+    | Error e ->
+      Printf.eprintf "error: %s\n" e;
+      2
+    | Ok spec ->
+      client_call socket
+        (Sc_serve.Protocol.Diff { spec; baseline = base })
+        (function
+          | Sc_serve.Protocol.Diffed { report; regressed } ->
+            print_string report;
+            if regressed then begin
+              Printf.eprintf "quality gate: REGRESSED against %s\n" bpath;
+              1
+            end
+            else 0
+          | _ -> unexpected ()))
+
 let client_compile_cmd =
   let run socket design style restarts certify metrics explain =
     match resolve_spec ~certify design style restarts with
@@ -1060,23 +969,7 @@ let client_verilog_cmd =
     in
     match baseline with
     | None -> client_compile_rpc socket spec metrics explain
-    | Some bpath -> (
-      match Sc_obs.Json.parse (read_file bpath) with
-      | Error e ->
-        Printf.eprintf "error: %s: %s\n" bpath e;
-        2
-      | Ok base ->
-        client_call socket
-          (Sc_serve.Protocol.Diff { spec; baseline = base })
-          (function
-            | Sc_serve.Protocol.Diffed { report; regressed } ->
-              print_string report;
-              if regressed then begin
-                Printf.eprintf "quality gate: REGRESSED against %s\n" bpath;
-                1
-              end
-              else 0
-            | _ -> unexpected ()))
+    | Some bpath -> client_diff_rpc socket bpath (fun () -> Ok spec)
   in
   Cmd.v
     (Cmd.info "verilog"
@@ -1120,27 +1013,8 @@ let client_diff_cmd =
       & info [] ~docv:"DESIGN" ~doc:"Builtin design name or ISP file path.")
   in
   let run socket baseline design style restarts =
-    match Sc_obs.Json.parse (read_file baseline) with
-    | Error e ->
-      Printf.eprintf "error: %s: %s\n" baseline e;
-      2
-    | Ok base -> (
-      match resolve_spec design style restarts with
-      | Error e ->
-        Printf.eprintf "error: %s\n" e;
-        2
-      | Ok spec ->
-        client_call socket
-          (Sc_serve.Protocol.Diff { spec; baseline = base })
-          (function
-            | Sc_serve.Protocol.Diffed { report; regressed } ->
-              print_string report;
-              if regressed then begin
-                Printf.eprintf "quality gate: REGRESSED against %s\n" baseline;
-                1
-              end
-              else 0
-            | _ -> unexpected ()))
+    client_diff_rpc socket baseline (fun () ->
+        resolve_spec design style restarts)
   in
   Cmd.v
     (Cmd.info "diff"

@@ -102,8 +102,8 @@ type optimized =
   ; gates_out : int
   }
 
-(* Bound for per-pass translation certificates on sequential designs —
-   the same horizon Synth.gates ~selfcheck uses. *)
+(* Bound, in clock cycles, for per-pass translation certificates on
+   sequential designs. *)
 let certify_k = 4
 
 let cert_of_circuits reference candidate =
@@ -447,47 +447,8 @@ let run_module ~record ~certify ~restarts text () =
    daemon's overlapping requests): the first arrival computes, everyone
    else blocks for the shared result.  Entries live only while the
    compute runs — afterwards the stage cache serves repeats. *)
-let mod_inflight : (string, module_run option ref) Hashtbl.t = Hashtbl.create 8
-let mod_lock = Mutex.create ()
-let mod_cond = Condition.create ()
-
-let shared_module_run key compute =
-  Mutex.lock mod_lock;
-  match Hashtbl.find_opt mod_inflight key with
-  | Some cell ->
-    let rec await () =
-      match !cell with
-      | Some r -> r
-      | None ->
-        Condition.wait mod_cond mod_lock;
-        await ()
-    in
-    let r = await () in
-    Mutex.unlock mod_lock;
-    (`Shared, r)
-  | None ->
-    let cell = ref None in
-    Hashtbl.add mod_inflight key cell;
-    Mutex.unlock mod_lock;
-    let finish r =
-      Mutex.lock mod_lock;
-      cell := Some r;
-      Hashtbl.remove mod_inflight key;
-      Condition.broadcast mod_cond;
-      Mutex.unlock mod_lock
-    in
-    (match compute () with
-    | r ->
-      finish r;
-      (`Fresh, r)
-    | exception e ->
-      (* never leave waiters hanging: surface the exception as a Diag *)
-      finish
-        { mr = Error (Diag.of_exn ~stage:"module" e)
-        ; mr_log = []
-        ; mr_totals = []
-        };
-      raise e)
+let module_flights : (string, module_run) Sc_par.Single_flight.t =
+  Sc_par.Single_flight.create ()
 
 (* bounded fan-out on dedicated domains: module pipelines submit their
    own shard work to the shared Sc_par pool, so they must not run *on*
@@ -773,8 +734,15 @@ let compile_modular ?recorder ?(restarts = 0) src =
                  (Printf.sprintf "modular-module\x00%s\x00restarts=%d;certify=%b"
                     m.sm_text restarts certify)
              in
-             shared_module_run key
-               (run_module ~record ~certify ~restarts m.sm_text))
+             (* a module run that raises is a Diag for its own caller
+                and for every waiter alike *)
+             Sc_par.Single_flight.run module_flights key (fun () ->
+                 try run_module ~record ~certify ~restarts m.sm_text ()
+                 with e ->
+                   { mr = Error (Diag.of_exn ~stage:"module" e)
+                   ; mr_log = []
+                   ; mr_totals = []
+                   }))
            used)
     in
     let runs = fan_out ~jobs tasks in
@@ -782,14 +750,14 @@ let compile_modular ?recorder ?(restarts = 0) src =
     (* merge journals and telemetry deterministically, in file order;
        a run served by the in-flight dedup reports its passes as hits *)
     Array.iteri
-      (fun i (how, r) ->
+      (fun i (r, computed) ->
         let m = List.nth used i in
         let entries =
-          match how with
-          | `Fresh -> r.mr_log
-          | `Shared ->
+          if computed then r.mr_log
+          else begin
             Obs.count "modular.shared.calls" 1;
             List.map (fun (n, _) -> (n, P.Hit)) r.mr_log
+          end
         in
         P.append_log
           (List.map
@@ -805,7 +773,7 @@ let compile_modular ?recorder ?(restarts = 0) src =
       runs;
     let* mods =
       Array.fold_left
-        (fun acc (_, r) ->
+        (fun acc (r, _) ->
           let* acc = acc in
           match r.mr with
           | Ok mc -> Ok (mc :: acc)

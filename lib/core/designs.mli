@@ -90,8 +90,15 @@ val pdp8_stim : int -> (string * int) list
 (** [builtin name] — the ISP source of a builtin design: [counter],
     [traffic], [alu]/[alu4], [gray], [seqdet], [pdp8], [pdp8_dp],
     [system] (modular).  The single lookup [scc isp], [scc client] and
-    the daemon's equiv resolver all share. *)
+    {!resolve_circuit} all share. *)
 val builtin : string -> string option
+
+(** [resolve_circuit spec] — the circuit a [hand:NAME] spec (a hand
+    baseline: [counter], [traffic], [alu]/[alu4], [pdp8], [pdp8_dp]) or
+    an [isp:NAME] spec (a {!builtin} source, synthesized) names, or why
+    it names none.  [None] when [spec] has neither prefix: [scc equiv]
+    then reads it as a file path, the daemon refuses it. *)
+val resolve_circuit : string -> (Circuit.t, string) result option
 
 (** (name, ISP source, hand baseline if any, stimulus, verify cycles) *)
 val all :

@@ -105,14 +105,15 @@ let run ?(label = "par.task") t thunks =
     let slots = Array.make n Pending in
     let remaining = ref n in
     (* which domain completed each task, for the load-imbalance gauges:
-       rank 0 is the caller, workers rank by spawn order *)
+       workers rank by spawn order; everything else is rank 0, the caller
+       side — this batch's caller, or another batch's caller that ran one
+       of these tasks while helping *)
     let ran_on = Array.make n (-1) in
     let rank_of =
-      let caller = (Domain.self () :> int) in
       let workers =
         List.mapi (fun i d -> ((Domain.get_id d :> int), i + 1)) t.workers
       in
-      fun id -> if id = caller then 0 else List.assoc id workers
+      fun id -> Option.value ~default:0 (List.assoc_opt id workers)
     in
     let task i () =
       ran_on.(i) <- (Domain.self () :> int);

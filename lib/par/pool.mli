@@ -26,7 +26,8 @@
     aggregates per-label totals across domains.  Each [run] also
     records the pool width (gauge ["pool.width"]) and per-domain
     completed-task counts (["pool.d<rank>.tasks"], rank 0 = the
-    caller), so [Sc_metrics] snapshots expose load imbalance. *)
+    caller side, including another batch's caller that helped), so
+    [Sc_metrics] snapshots expose load imbalance. *)
 
 type t
 

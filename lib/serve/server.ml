@@ -18,7 +18,7 @@ type stats =
   ; peak_executions : int
   }
 
-(* the shared result of one deduplicated execution *)
+(* the result of one execution, shared by identical in-flight requests *)
 type compiled =
   { snapshot : Metrics.snapshot
   ; cif_bytes : int
@@ -32,12 +32,9 @@ type compiled =
 
 type outcome = O_ok of compiled | O_diag of Diag.t
 
-type pending = { mutable result : outcome option }
-
 type state =
-  { lock : Mutex.t  (* counters, inflight table, conns, stop flag *)
-  ; done_cond : Condition.t  (* signalled when an execution lands *)
-  ; inflight : (string, pending) Hashtbl.t
+  { lock : Mutex.t  (* counters, conns, stop flag *)
+  ; inflight : (string, outcome) Sc_par.Single_flight.t
   ; mutable requests : int
   ; mutable active : int
   ; mutable dedup_hits : int
@@ -200,76 +197,26 @@ let compile_key (spec : P.compile_spec) =
     ^ (if spec.certify then "certify" else "")
     ^ "\x00" ^ spec.source)
 
-(* run [compute] once per in-flight key: the first requester executes,
-   concurrent identical requests wait and share the outcome.  Returns
-   whether this requester executed (for the request log). *)
-let deduplicated st key compute =
-  let claim =
-    locked st (fun () ->
-        match Hashtbl.find_opt st.inflight key with
-        | Some p ->
-          st.dedup_hits <- st.dedup_hits + 1;
-          `Join p
-        | None ->
-          let p = { result = None } in
-          Hashtbl.replace st.inflight key p;
-          `Execute p)
-  in
-  match claim with
-  | `Join p ->
-    Mutex.lock st.lock;
-    let rec wait () =
-      match p.result with
-      | Some r -> r
-      | None ->
-        Condition.wait st.done_cond st.lock;
-        wait ()
-    in
-    let r = wait () in
-    Mutex.unlock st.lock;
-    (r, false)
-  | `Execute p ->
-    let r =
-      try compute ()
-      with e -> O_diag (Diag.of_exn ~stage:"serve" e)
-    in
-    locked st (fun () ->
-        p.result <- Some r;
-        Hashtbl.remove st.inflight key;
-        Condition.broadcast st.done_cond);
-    (r, true)
-
+(* identical requests in flight share one execution: the first
+   requester executes, the rest wait for its outcome.  Returns whether
+   this requester executed (for the request log). *)
 let compile st spec =
   let key = compile_key spec in
   let outcome, executed =
-    deduplicated st key (fun () -> do_compile st ~key spec)
+    Sc_par.Single_flight.run st.inflight key (fun () ->
+        try do_compile st ~key spec
+        with e -> O_diag (Diag.of_exn ~stage:"serve" e))
   in
+  if not executed then
+    locked st (fun () -> st.dedup_hits <- st.dedup_hits + 1);
   (outcome, key, executed)
 
 (* --- equiv --- *)
 
+(* the daemon never reads files: only hand:/isp: specs resolve *)
 let resolve_circuit spec =
-  match String.index_opt spec ':' with
-  | Some i -> (
-    let kind = String.sub spec 0 i in
-    let name = String.sub spec (i + 1) (String.length spec - i - 1) in
-    match kind with
-    | "hand" -> (
-      match name with
-      | "counter" -> Ok (Sc_core.Designs.hand_counter ())
-      | "traffic" -> Ok (Sc_core.Designs.hand_traffic ())
-      | "alu" | "alu4" -> Ok (Sc_core.Designs.hand_alu ())
-      | "pdp8" -> Ok (Sc_core.Designs.hand_pdp8 ())
-      | "pdp8_dp" -> Ok (Sc_core.Designs.hand_pdp8_dp ())
-      | n -> Error ("unknown hand design " ^ n))
-    | "isp" -> (
-      match Sc_core.Designs.builtin name with
-      | Some src -> (
-        match Sc_synth.Synth.gates (Sc_core.Designs.parse src) with
-        | r -> Ok r.Sc_synth.Synth.circuit
-        | exception Diag.Error d -> Error (Diag.to_string d))
-      | None -> Error ("unknown builtin design " ^ name))
-    | k -> Error ("unknown circuit kind " ^ k ^ " (expected hand: or isp:)"))
+  match Sc_core.Designs.resolve_circuit spec with
+  | Some r -> r
   | None -> Error (spec ^ ": expected hand:NAME or isp:NAME")
 
 let do_equiv st ~a ~b ~k =
@@ -587,8 +534,7 @@ let run ?(jobs = 1) ?stage_cache ?(handle_signals = true) ?exec_domains ?log
     let stop_r, stop_w = Unix.pipe () in
     let st =
       { lock = Mutex.create ()
-      ; done_cond = Condition.create ()
-      ; inflight = Hashtbl.create 16
+      ; inflight = Sc_par.Single_flight.create ()
       ; requests = 0
       ; active = 0
       ; dedup_hits = 0

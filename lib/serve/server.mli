@@ -16,8 +16,8 @@
     Requests are keyed on [digest (style | restarts | certify |
     source)].  While a compilation for a key is in flight, further
     requests for the same key do not execute: they wait on the first
-    one and share its result (the server's [dedup_hits] counter records
-    each such join).  Two clients saving the same file and recompiling
+    one and share its result through an {!Sc_par.Single_flight} table
+    (the server's [dedup_hits] counter records each such join).  Two clients saving the same file and recompiling
     cost one pipeline execution.
 
     {2 Observability}

@@ -130,6 +130,32 @@ let test_behavior_error_reporting () =
       (String.length (Sc_pipeline.Diag.to_string d) > 0)
   | Ok _ -> Alcotest.fail "expected check error"
 
+(* one hand:/isp: resolver serves both scc equiv and the daemon *)
+let test_resolve_circuit () =
+  let ok spec =
+    match Designs.resolve_circuit spec with
+    | Some (Ok c) -> c
+    | Some (Error e) -> Alcotest.failf "%s: %s" spec e
+    | None -> Alcotest.failf "%s: not a hand:/isp: spec" spec
+  in
+  let gates c = (Sc_netlist.Circuit.stats c).Sc_netlist.Circuit.gate_total in
+  List.iter
+    (fun kind ->
+      let a = ok (kind ^ ":alu") and a4 = ok (kind ^ ":alu4") in
+      check_int (kind ^ ": alu and alu4 name one circuit") (gates a) (gates a4))
+    [ "hand"; "isp" ];
+  List.iter
+    (fun (spec, want) ->
+      match Designs.resolve_circuit spec with
+      | Some (Error e) -> Alcotest.(check string) spec want e
+      | _ -> Alcotest.failf "%s: expected an error" spec)
+    [ ("hand:nope", "unknown hand design nope")
+    ; ("isp:nope", "unknown builtin design nope")
+    ];
+  check_bool "a file path is left to the caller" true
+    (Designs.resolve_circuit "counter.isp" = None
+    && Designs.resolve_circuit "dir:x/counter.isp" = None)
+
 let suite =
   [ Alcotest.test_case "sources check clean" `Quick test_all_sources_check_clean
   ; Alcotest.test_case "hand baselines are clean" `Quick test_hand_baselines_are_clean_circuits
@@ -141,4 +167,5 @@ let suite =
   ; Alcotest.test_case "behavior compile path" `Quick test_compile_behavior_path
   ; Alcotest.test_case "behavior PLA path" `Quick test_compile_behavior_pla_path
   ; Alcotest.test_case "behavior errors" `Quick test_behavior_error_reporting
+  ; Alcotest.test_case "hand:/isp: resolver" `Quick test_resolve_circuit
   ]

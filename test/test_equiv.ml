@@ -285,15 +285,23 @@ let test_optimize_roundtrip_pdp8_datapath () =
   expect_equivalent "pdp8_dp raw vs optimized"
     (Checker.check raw (Optimize.simplify raw))
 
-(* --- synthesis self-check mode --- *)
+(* --- the optimizer certified against the raw translation --- *)
 
+(* the proof [--certify] makes inside the pipeline, at the same k=4
+   horizon, made here directly on three designs *)
 let test_synth_selfcheck_passes () =
   List.iter
-    (fun src ->
-      ignore
-        (Sc_synth.Synth.gates ~selfcheck:true (Sc_core.Designs.parse src)))
-    [ Sc_core.Designs.counter_src; Sc_core.Designs.gray_src
-    ; Sc_core.Designs.pdp8_dp_src
+    (fun (name, src) ->
+      let raw = Sc_synth.Synth.translate (Sc_core.Designs.parse src) in
+      let opt = (Sc_synth.Synth.optimize_result raw).Sc_synth.Synth.circuit in
+      match Checker.certify ~k:4 raw opt with
+      | Ok c -> check_bool (name ^ ": cones proved") true (c.Checker.cert_cones > 0)
+      | Error cex ->
+        Alcotest.failf "%s: optimizer refuted: %a" name Checker.pp_verdict
+          (Checker.Not_equivalent cex))
+    [ ("counter", Sc_core.Designs.counter_src)
+    ; ("gray", Sc_core.Designs.gray_src)
+    ; ("pdp8_dp", Sc_core.Designs.pdp8_dp_src)
     ]
 
 (* --- unrolling semantics --- *)

@@ -123,6 +123,164 @@ let test_equiv_cones_across_widths () =
   Alcotest.(check string) "same differing port" o1 o4;
   check_int "same differing bit" b1 b4
 
+(* --- concurrent batches on one pool --- *)
+
+(* a one-shot gate: [wait] blocks until [open_] *)
+type gate = { m : Mutex.t; c : Condition.t; mutable is_open : bool }
+
+let gate () = { m = Mutex.create (); c = Condition.create (); is_open = false }
+
+let open_ g =
+  Mutex.protect g.m (fun () ->
+      g.is_open <- true;
+      Condition.broadcast g.c)
+
+let wait g =
+  Mutex.protect g.m (fun () ->
+      while not g.is_open do
+        Condition.wait g.c g.m
+      done)
+
+(* Batch Y's caller records; batch X's caller helps by running one of
+   Y's tasks.  That domain is neither Y's caller nor a pool worker, and
+   ranking it used to raise Not_found out of [Pool.run].  The helper is
+   counted on the caller side, rank 0. *)
+let test_helping_caller_ranked_as_caller () =
+  with_pool 2 @@ fun pool ->
+  let x_caller = Atomic.make (-1) in
+  let x_started = Atomic.make 0 in
+  let release_x_caller = gate () and release_worker = gate () in
+  let y1_ran = gate () in
+  let xs_busy = gate () in
+  let x_task () =
+    let me = (Domain.self () :> int) in
+    if Atomic.fetch_and_add x_started 1 = 1 then open_ xs_busy;
+    wait (if me = Atomic.get x_caller then release_x_caller else release_worker)
+  in
+  let x =
+    Domain.spawn (fun () ->
+        Atomic.set x_caller (Domain.self () :> int);
+        Pool.run pool [ x_task; x_task ])
+  in
+  (* both X tasks now hold the worker and X's caller *)
+  wait xs_busy;
+  let rec_ = Sc_obs.Obs.Recorder.create () in
+  Sc_obs.Obs.Recorder.enable rec_;
+  let y =
+    Domain.spawn (fun () ->
+        Sc_obs.Obs.with_recorder rec_ (fun () ->
+            Pool.run pool
+              [ (fun () ->
+                  (* only X's caller is freed, so it takes y1 *)
+                  open_ release_x_caller;
+                  wait y1_ran;
+                  open_ release_worker;
+                  0)
+              ; (fun () ->
+                  let by = (Domain.self () :> int) in
+                  open_ y1_ran;
+                  by)
+              ]))
+  in
+  let ys = Domain.join y in
+  ignore (Domain.join x);
+  check_int "y1 ran on X's caller" (Atomic.get x_caller) (List.nth ys 1);
+  check_int "both Y tasks on rank 0" 2
+    (Option.value ~default:0
+       (List.assoc_opt "pool.d0.tasks" (Sc_obs.Obs.Recorder.totals rec_)))
+
+(* --- single-flight --- *)
+
+let test_single_flight_once () =
+  let sf = Single_flight.create () in
+  let runs = Atomic.make 0 in
+  let entered = gate () and release = gate () in
+  let compute () =
+    Atomic.incr runs;
+    open_ entered;
+    wait release;
+    42
+  in
+  let first = Domain.spawn (fun () -> Single_flight.run sf "k" compute) in
+  wait entered;
+  (* the flight is now in the air: every later caller joins it *)
+  let arrived = Atomic.make 0 in
+  let joiners =
+    List.init 3 (fun _ ->
+        Domain.spawn (fun () ->
+            Atomic.incr arrived;
+            Single_flight.run sf "k" compute))
+  in
+  while Atomic.get arrived < 3 do
+    Domain.cpu_relax ()
+  done;
+  Unix.sleepf 0.05;
+  open_ release;
+  let v, computed = Domain.join first in
+  check_int "value" 42 v;
+  check_bool "first caller computed" true computed;
+  List.iter
+    (fun d ->
+      let v, computed = Domain.join d in
+      check_int "joiner value" 42 v;
+      check_bool "joiner did not compute" false computed)
+    joiners;
+  check_int "computed once" 1 (Atomic.get runs);
+  (* the entry is gone once the flight lands *)
+  check_bool "later call computes again" true
+    (snd (Single_flight.run sf "k" (fun () -> 7)))
+
+exception Flight_failed
+
+let test_single_flight_exception () =
+  let sf = Single_flight.create () in
+  let entered = gate () and release = gate () in
+  let failing () =
+    open_ entered;
+    wait release;
+    raise Flight_failed
+  in
+  let outcome d =
+    match Domain.join d with
+    | _ -> "value"
+    | exception Flight_failed -> "raised"
+  in
+  let first = Domain.spawn (fun () -> Single_flight.run sf 1 failing) in
+  wait entered;
+  let arrived = Atomic.make false in
+  let joiner =
+    Domain.spawn (fun () ->
+        Atomic.set arrived true;
+        Single_flight.run sf 1 failing)
+  in
+  while not (Atomic.get arrived) do
+    Domain.cpu_relax ()
+  done;
+  Unix.sleepf 0.05;
+  open_ release;
+  Alcotest.(check string) "computing caller sees it" "raised" (outcome first);
+  Alcotest.(check string) "waiter sees it" "raised" (outcome joiner);
+  Alcotest.(check (pair int bool)) "a later call computes again" (5, true)
+    (Single_flight.run sf 1 (fun () -> 5))
+
+let test_single_flight_keys_independent () =
+  let sf = Single_flight.create () in
+  let entered = gate () and release = gate () in
+  let slow =
+    Domain.spawn (fun () ->
+        Single_flight.run sf "slow" (fun () ->
+            open_ entered;
+            wait release;
+            1))
+  in
+  wait entered;
+  (* "slow" is still in the air; another key must not wait for it *)
+  Alcotest.(check (pair int bool)) "other key runs now" (2, true)
+    (Single_flight.run sf "fast" (fun () -> 2));
+  open_ release;
+  Alcotest.(check (pair int bool)) "slow key lands" (1, true)
+    (Domain.join slow)
+
 let suite =
   [ Alcotest.test_case "map keeps submission order" `Quick test_map_ordered
   ; Alcotest.test_case "size-1 pool is sequential" `Quick test_sequential_pool
@@ -136,4 +294,12 @@ let suite =
       test_placement_cif_identical_across_widths
   ; Alcotest.test_case "equiv cones identical at any width" `Quick
       test_equiv_cones_across_widths
+  ; Alcotest.test_case "helping caller ranked as caller" `Quick
+      test_helping_caller_ranked_as_caller
+  ; Alcotest.test_case "single-flight computes once" `Quick
+      test_single_flight_once
+  ; Alcotest.test_case "single-flight shares exceptions" `Quick
+      test_single_flight_exception
+  ; Alcotest.test_case "single-flight keys independent" `Quick
+      test_single_flight_keys_independent
   ]
