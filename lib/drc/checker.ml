@@ -8,73 +8,6 @@ type violation =
   ; detail : string
   }
 
-(* --- rectangle cover: is [target] fully covered by the union of [covers]?
-   Recursive splitting: find a cover overlapping the target, split the
-   uncovered remainder into at most four rectangles and recurse. *)
-let rec covered target covers =
-  if Rect.is_empty target then true
-  else
-    match
-      List.find_opt
-        (fun c -> Rect.overlaps c target || Rect.contains c target)
-        covers
-    with
-    | None -> false
-    | Some c ->
-      if Rect.contains c target then true
-      else
-        let pieces =
-          let t = target in
-          let frags = ref [] in
-          let push x0 y0 x1 y1 =
-            if x0 < x1 && y0 < y1 then frags := Rect.make x0 y0 x1 y1 :: !frags
-          in
-          (* Left and right slabs, then the middle strips above and below. *)
-          push t.Rect.xmin t.Rect.ymin (min t.Rect.xmax c.Rect.xmin) t.Rect.ymax;
-          push (max t.Rect.xmin c.Rect.xmax) t.Rect.ymin t.Rect.xmax t.Rect.ymax;
-          let mx0 = max t.Rect.xmin c.Rect.xmin
-          and mx1 = min t.Rect.xmax c.Rect.xmax in
-          push mx0 t.Rect.ymin mx1 (min t.Rect.ymax c.Rect.ymin);
-          push mx0 (max t.Rect.ymin c.Rect.ymax) mx1 t.Rect.ymax;
-          !frags
-        in
-        List.for_all (fun p -> covered p covers) pieces
-
-(* --- grouping rectangles into electrically connected regions --- *)
-let group_regions rects =
-  let n = Array.length rects in
-  let parent = Array.init n (fun i -> i) in
-  let rec find i = if parent.(i) = i then i else find parent.(i) in
-  let union i j =
-    let ri = find i and rj = find j in
-    if ri <> rj then parent.(ri) <- rj
-  in
-  (* rects must be sorted by xmin; only neighbours whose x-ranges touch can
-     touch geometrically. *)
-  for i = 0 to n - 1 do
-    let j = ref (i + 1) in
-    while !j < n && rects.(!j).Rect.xmin <= rects.(i).Rect.xmax do
-      if Rect.touches_or_overlaps rects.(i) rects.(!j) then union i !j;
-      incr j
-    done
-  done;
-  Array.init n find
-
-let sorted_array rs =
-  let a = Array.of_list rs in
-  Array.sort (fun r1 r2 -> Int.compare r1.Rect.xmin r2.Rect.xmin) a;
-  a
-
-(* first index in the xmin-sorted [arr] with xmin > x (all of [arr] if
-   none) — the exclusive right edge of a sweep window *)
-let upper_bound (arr : Rect.t array) x =
-  let lo = ref 0 and hi = ref (Array.length arr) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if arr.(mid).Rect.xmin <= x then lo := mid + 1 else hi := mid
-  done;
-  !lo
-
 (* split [0, n) into at most [parts] contiguous ranges *)
 let ranges n parts =
   let parts = max 1 (min parts n) in
@@ -97,7 +30,12 @@ let check_flat ?pool flat =
         let i = Layer.index fb.layer in
         by_layer.(i) <- fb.rect :: by_layer.(i))
     flat;
-  let sorted = Array.map sorted_array by_layer in
+  (* xmin order fixes the order violations are reported in. *)
+  let sorted = Array.map Array.of_list by_layer in
+  Array.iter
+    (Array.sort (fun r1 r2 -> Int.compare r1.Rect.xmin r2.Rect.xmin))
+    sorted;
+  let index = Array.map Rect_index.make sorted in
   let layer_rects l = sorted.(Layer.index l) in
   let shards n = ranges n (4 * Sc_par.Pool.size pool) in
   let collect f =
@@ -133,36 +71,29 @@ let check_flat ?pool flat =
           Some
             (fun () ->
               collect (fun add ->
-                  let rects = layer_rects l in
-                  let region = group_regions rects in
-                  let n = Array.length rects in
-                  for i = 0 to n - 1 do
-                    let j = ref (i + 1) in
-                    while
-                      !j < n && rects.(!j).Rect.xmin <= rects.(i).Rect.xmax + s
-                    do
-                      if region.(i) <> region.(!j) then begin
-                        let sep = Rect.separation rects.(i) rects.(!j) in
-                        if sep < s then
-                          add
-                            (Rules.Min_spacing (l, l, s))
-                            rects.(i)
-                            (Printf.sprintf "to %s: %d < %d"
-                               (Rect.to_string rects.(!j))
-                               sep s)
-                      end;
-                      incr j
-                    done
-                  done))
+                  let rects = layer_rects l and idx = index.(Layer.index l) in
+                  let region = Rect_index.components idx in
+                  Array.iteri
+                    (fun i r ->
+                      List.iter
+                        (fun j ->
+                          if j > i && region.(i) <> region.(j) then
+                            add
+                              (Rules.Min_spacing (l, l, s))
+                              r
+                              (Printf.sprintf "to %s: %d < %d"
+                                 (Rect.to_string rects.(j))
+                                 (Rect.separation r rects.(j))
+                                 s))
+                        (Rect_index.near idx (s - 1) r))
+                    rects))
         else None)
       Layer.all
   in
   (* Cross-layer spacing; overlapping or abutting shapes are related
      (transistors, butting contacts) and exempt.  Both layers merge into
-     one xmin-sorted array and a single sweep visits exactly the pairs
-     whose x-gap can be below [s] — the same window argument
-     [group_regions] relies on: every pair is reached from its
-     smaller-xmin member.  Sliced into index ranges across the pool. *)
+     one xmin-sorted array, indexed once; each pair is reported from its
+     earlier member.  Sliced into index ranges across the pool. *)
   let cross_tasks =
     List.concat_map
       (fun (la, lb) ->
@@ -180,56 +111,49 @@ let check_flat ?pool flat =
               | 0 -> compare (t1, r1) (t2, r2)
               | c -> c)
             merged;
-          let n = Array.length merged in
+          let idx = Rect_index.make (Array.map fst merged) in
           List.map
             (fun (lo, hi) () ->
               collect (fun add ->
                   for i = lo to hi - 1 do
                     let ri, ti = merged.(i) in
-                    let j = ref (i + 1) in
-                    while
-                      !j < n && (fst merged.(!j)).Rect.xmin <= ri.Rect.xmax + s
-                    do
-                      let rj, tj = merged.(!j) in
-                      if ti <> tj then begin
-                        let a, b = if ti then (ri, rj) else (rj, ri) in
-                        let sep = Rect.separation a b in
-                        if (not (Rect.overlaps a b)) && sep < s then
-                          add (Rules.Min_spacing (la, lb, s)) a
-                            (Printf.sprintf "to %s on %s: %d < %d"
-                               (Rect.to_string b) (Layer.to_string lb) sep s)
-                      end;
-                      incr j
-                    done
+                    List.iter
+                      (fun j ->
+                        let rj, tj = merged.(j) in
+                        if j > i && ti <> tj then begin
+                          let a, b = if ti then (ri, rj) else (rj, ri) in
+                          if not (Rect.overlaps a b) then
+                            add (Rules.Min_spacing (la, lb, s)) a
+                              (Printf.sprintf "to %s on %s: %d < %d"
+                                 (Rect.to_string b) (Layer.to_string lb)
+                                 (Rect.separation a b) s)
+                        end)
+                      (Rect_index.near idx (s - 1) ri)
                   done))
-            (shards n)
+            (shards (Array.length merged))
         end
         else [])
       [ (Layer.Poly, Layer.Diffusion) ]
   in
-  (* Enclosure: candidate covers for each inner rectangle are narrowed
-     by binary search on the sorted outer array before the recursive
-     cover test; sliced across the pool. *)
+  (* Enclosure: the inflated inner rectangle must be covered by the union
+     of the outer rectangles touching it; sliced across the pool. *)
   let enclosure_tasks =
     List.concat_map
       (fun (inner, outer) ->
         let m = Rules.enclosure ~inner ~outer in
         if m > 0 then begin
           let inners = layer_rects inner in
-          let outers = layer_rects outer in
+          let outers = layer_rects outer and idx = index.(Layer.index outer) in
           List.map
             (fun (lo, hi) () ->
               collect (fun add ->
                   for i = lo to hi - 1 do
                     let r = inners.(i) in
                     let target = Rect.inflate m r in
-                    let right = upper_bound outers target.Rect.xmax in
-                    let candidates = ref [] in
-                    for j = right - 1 downto 0 do
-                      if outers.(j).Rect.xmax >= target.Rect.xmin then
-                        candidates := outers.(j) :: !candidates
-                    done;
-                    if not (covered target !candidates) then
+                    let covers =
+                      List.map (Array.get outers) (Rect_index.near idx 0 target)
+                    in
+                    if Rect.subtract target covers <> [] then
                       add
                         (Rules.Min_enclosure (inner, outer, m))
                         r

@@ -14,9 +14,15 @@
       overlap is still flagged);
     - enclosure (contact cuts inside metal, glass inside pad metal).
 
-    Checking is O(n log n + k) by plane-sweep over x with an active set;
-    every rule — including cross-layer spacing, which sweeps a merged
-    xmin-sorted array of both layers — visits only window neighbours.
+    Every pairwise rule asks one {!Sc_geom.Rect_index} per layer (one over
+    the merged poly and diffusion array for cross-layer spacing) for the
+    rectangles within reach, in both axes, so a rectangle visits only the
+    buckets around it; a chip-wide rail is a few bucket entries, not a
+    scan of the layer.  Regions come from {!Sc_geom.Rect_index.components};
+    enclosure asks whether {!Sc_geom.Rect.subtract} leaves any of the
+    inflated inner rectangle uncovered by the outer rectangles touching
+    it.  Each layer is sorted by [xmin] first, and every rule reports in
+    that order.
 
     The deck decomposes into independent tasks (per rule, per layer, per
     slice of the sorted rectangle array) executed on an {!Sc_par.Pool}

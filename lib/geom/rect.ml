@@ -62,6 +62,28 @@ let inter a b =
       }
   else None
 
+let subtract r cuts =
+  let split cut p =
+    if not (overlaps p cut) then [ p ]
+    else
+      let frags = ref [] in
+      let push x0 y0 x1 y1 =
+        if x0 < x1 && y0 < y1 then
+          frags := { xmin = x0; ymin = y0; xmax = x1; ymax = y1 } :: !frags
+      in
+      (* Left and right slabs, then the middle strips below and above. *)
+      push p.xmin p.ymin (min p.xmax cut.xmin) p.ymax;
+      push (max p.xmin cut.xmax) p.ymin p.xmax p.ymax;
+      let mx0 = max p.xmin cut.xmin and mx1 = min p.xmax cut.xmax in
+      push mx0 p.ymin mx1 (min p.ymax cut.ymin);
+      push mx0 (max p.ymin cut.ymax) mx1 p.ymax;
+      !frags
+  in
+  List.fold_left
+    (fun pieces cut -> List.concat_map (split cut) pieces)
+    (if is_empty r then [] else [ r ])
+    cuts
+
 let union_bbox a b =
   { xmin = min a.xmin b.xmin
   ; ymin = min a.ymin b.ymin

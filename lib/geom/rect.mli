@@ -51,6 +51,13 @@ val contains : t -> t -> bool
 val inter : t -> t -> t option
 (** Intersection, [None] if the interiors are disjoint. *)
 
+(** [subtract r cuts] is the part of [r] outside every cut, as disjoint
+    non-empty rectangles.  Cuts are applied in list order; each one splits
+    the pieces it overlaps into a left and a right slab and the strips
+    below and above it.  [subtract r cuts = []] exactly when the cuts
+    cover [r]. *)
+val subtract : t -> t list -> t list
+
 val union_bbox : t -> t -> t
 
 (** [separation a b] is the Euclidean-free rectilinear separation used by

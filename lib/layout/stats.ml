@@ -13,51 +13,31 @@ type t =
   ; instances : int
   }
 
-(* Gate regions = connected groups of poly/diffusion intersection
-   rectangles.  A sweep over x-sorted rectangles keeps the pair scan close
-   to linear for real layouts; the union-find merges intersections that
-   touch, so a gate drawn in several boxes is counted once. *)
-let overlap_regions polys diffs =
-  let inters = ref [] in
-  let diffs = List.sort (fun a b -> Int.compare a.Rect.xmin b.Rect.xmin) diffs in
-  List.iter
-    (fun p ->
-      List.iter
-        (fun d ->
-          if d.Rect.xmin < p.Rect.xmax && p.Rect.xmin < d.Rect.xmax then
-            match Rect.inter p d with
-            | Some r when not (Rect.is_empty r) -> inters := r :: !inters
-            | _ -> ())
-        diffs)
-    polys;
-  let rects = Array.of_list !inters in
-  let n = Array.length rects in
-  let parent = Array.init n (fun i -> i) in
-  let rec find i = if parent.(i) = i then i else find parent.(i) in
-  let union i j =
-    let ri = find i and rj = find j in
-    if ri <> rj then parent.(ri) <- rj
-  in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      if Rect.touches_or_overlaps rects.(i) rects.(j) then union i j
-    done
-  done;
-  let roots = Hashtbl.create 16 in
-  for i = 0 to n - 1 do
-    Hashtbl.replace roots (find i) ()
-  done;
-  Hashtbl.length roots
+let crossings polys diffs =
+  let idx = Rect_index.make diffs in
+  Array.to_list polys
+  |> List.concat_map (fun p ->
+         List.filter_map
+           (fun j -> Rect.inter p diffs.(j))
+           (Rect_index.near idx 0 p))
 
+(* A gate drawn in several boxes is one touch-connected region of
+   crossings, so it counts once: one per region root. *)
 let transistor_count c =
   let flat = Flatten.run c in
   let layer l =
-    List.filter_map
-      (fun (fb : Flatten.flat_box) ->
-        if Layer.equal fb.layer l then Some fb.rect else None)
-      flat
+    Array.of_list
+      (List.filter_map
+         (fun (fb : Flatten.flat_box) ->
+           if Layer.equal fb.layer l then Some fb.rect else None)
+         flat)
   in
-  overlap_regions (layer Layer.Poly) (layer Layer.Diffusion)
+  let region =
+    Rect_index.components
+      (Rect_index.make
+         (Array.of_list (crossings (layer Layer.Poly) (layer Layer.Diffusion))))
+  in
+  List.length (List.filteri (fun i r -> i = r) (Array.to_list region))
 
 let count_instances root =
   let memo = Hashtbl.create 64 in

@@ -21,6 +21,12 @@ type t =
 
 val measure : Cell.t -> t
 
+(** [crossings polys diffs] is every non-empty poly∩diffusion overlap, one
+    per overlapping pair, poly-major in array order and then in diffusion
+    order.  Both transistor counting and circuit extraction start here. *)
+val crossings :
+  Sc_geom.Rect.t array -> Sc_geom.Rect.t array -> Sc_geom.Rect.t list
+
 (** [transistor_count c] counts distinct poly-over-diffusion overlap
     regions in the flattened layout; overlapping poly rectangles over one
     diffusion strip are merged so a gate drawn as two abutting boxes counts

@@ -203,6 +203,154 @@ let prop_spaced_metal_clean =
          (* duplicates coincide exactly: same region, still clean *)
          Checker.is_clean (cell "grid" boxes)))
 
+let test_joint_enclosure_with_far_rail () =
+  (* The contact's margin is covered only by a rail that starts far to the
+     left and ends inside the margin, together with a second rectangle. *)
+  let contact = Cell.box Layer.Contact (Rect.make 100 10 102 12) in
+  let rail = Cell.box Layer.Metal (Rect.make 0 9 101 13) in
+  let c =
+    cell "joint"
+      [ contact; rail; Cell.box Layer.Metal (Rect.make 101 9 110 13) ]
+  in
+  check_bool "rail + second rect enclose" true (Checker.is_clean c);
+  let vs = Checker.check (cell "rail_only" [ contact; rail ]) in
+  check_bool "rail alone does not" true
+    (has_rule vs (function
+      | Rules.Min_enclosure (Layer.Contact, Layer.Metal, 1) -> true
+      | _ -> false))
+
+(* The deck written out over all pairs, in the checker's report order:
+   width per layer, then spacing per layer, then poly-diffusion spacing,
+   then enclosure, each scanning its layer in xmin order. *)
+let brute_deck flat =
+  let out = ref [] in
+  let add rule where detail = out := { Checker.rule; where; detail } :: !out in
+  let rects l =
+    List.rev
+      (List.filter_map
+         (fun (fb : Flatten.flat_box) ->
+           if Layer.equal fb.layer l && not (Rect.is_empty fb.rect) then
+             Some fb.rect
+           else None)
+         flat)
+  in
+  let sorted l =
+    let a = Array.of_list (rects l) in
+    Array.sort (fun r1 r2 -> Int.compare r1.Rect.xmin r2.Rect.xmin) a;
+    a
+  in
+  List.iter
+    (fun l ->
+      let w = Rules.min_width l in
+      List.iter
+        (fun r ->
+          let narrow = min (Rect.width r) (Rect.height r) in
+          if narrow < w then
+            add (Rules.Min_width (l, w)) r
+              (Printf.sprintf "feature is %d lambda wide" narrow))
+        (rects l))
+    Layer.all;
+  List.iter
+    (fun l ->
+      let s = Rules.min_spacing l in
+      let a = sorted l in
+      let n = Array.length a in
+      (* same region: joined by a chain of touching rectangles *)
+      let reach =
+        Array.init n (fun i ->
+            Array.init n (fun j ->
+                i = j || Rect.touches_or_overlaps a.(i) a.(j)))
+      in
+      for k = 0 to n - 1 do
+        for i = 0 to n - 1 do
+          for j = 0 to n - 1 do
+            if reach.(i).(k) && reach.(k).(j) then reach.(i).(j) <- true
+          done
+        done
+      done;
+      if s > 0 then
+        for i = 0 to n - 1 do
+          for j = i + 1 to n - 1 do
+            let sep = Rect.separation a.(i) a.(j) in
+            if (not reach.(i).(j)) && sep < s then
+              add (Rules.Min_spacing (l, l, s)) a.(i)
+                (Printf.sprintf "to %s: %d < %d" (Rect.to_string a.(j)) sep s)
+          done
+        done)
+    Layer.all;
+  let s = Rules.cross_spacing Layer.Poly Layer.Diffusion in
+  let m =
+    Array.append
+      (Array.map (fun r -> (r, true)) (sorted Layer.Poly))
+      (Array.map (fun r -> (r, false)) (sorted Layer.Diffusion))
+  in
+  Array.sort
+    (fun (r1, t1) (r2, t2) ->
+      match Int.compare r1.Rect.xmin r2.Rect.xmin with
+      | 0 -> compare (t1, r1) (t2, r2)
+      | c -> c)
+    m;
+  Array.iteri
+    (fun i (ri, ti) ->
+      Array.iteri
+        (fun j (rj, tj) ->
+          if j > i && ti <> tj then begin
+            let a, b = if ti then (ri, rj) else (rj, ri) in
+            let sep = Rect.separation a b in
+            if (not (Rect.overlaps a b)) && sep < s then
+              add (Rules.Min_spacing (Layer.Poly, Layer.Diffusion, s)) a
+                (Printf.sprintf "to %s on %s: %d < %d" (Rect.to_string b)
+                   (Layer.to_string Layer.Diffusion) sep s)
+          end)
+        m)
+    m;
+  List.iter
+    (fun (inner, outer) ->
+      let mg = Rules.enclosure ~inner ~outer in
+      let outers = rects outer in
+      Array.iter
+        (fun r ->
+          let t = Rect.inflate mg r in
+          (* every unit cell of the margin lies in some outer rectangle *)
+          let ok = ref true in
+          for x = t.Rect.xmin to t.Rect.xmax - 1 do
+            for y = t.Rect.ymin to t.Rect.ymax - 1 do
+              let c = Rect.make x y (x + 1) (y + 1) in
+              if not (List.exists (fun o -> Rect.contains o c) outers) then
+                ok := false
+            done
+          done;
+          if not !ok then
+            add (Rules.Min_enclosure (inner, outer, mg)) r
+              (Printf.sprintf "not enclosed by %s with margin %d"
+                 (Layer.to_string outer) mg))
+        (sorted inner))
+    [ (Layer.Contact, Layer.Metal); (Layer.Glass, Layer.Metal) ];
+  List.rev !out
+
+let prop_check_flat_is_brute_deck =
+  let gen =
+    QCheck.Gen.(
+      list_size (int_range 0 40)
+        (map3
+           (fun l (x, y) (w, h) ->
+             { Flatten.layer = l; rect = Rect.of_corner_wh ~x ~y ~w ~h })
+           (oneofl Layer.all)
+           (pair (int_range 0 30) (int_range 0 30))
+           (pair (int_range 0 12) (int_range 0 12))))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"check_flat = all-pairs deck, in order" ~count:300
+       (QCheck.make
+          ~print:(fun fl ->
+            String.concat " "
+              (List.map
+                 (fun (fb : Flatten.flat_box) ->
+                   Layer.to_string fb.layer ^ Rect.to_string fb.rect)
+                 fl))
+          gen)
+       (fun flat -> Checker.check_flat flat = brute_deck flat))
+
 let suite =
   [ Alcotest.test_case "clean layout" `Quick test_clean_layout
   ; Alcotest.test_case "narrow poly flagged" `Quick test_narrow_poly
@@ -218,6 +366,9 @@ let suite =
       test_wide_rect_not_missed_by_sweep
   ; Alcotest.test_case "wide outer still encloses" `Quick
       test_wide_outer_still_encloses
+  ; Alcotest.test_case "joint enclosure with a far rail" `Quick
+      test_joint_enclosure_with_far_rail
   ; Alcotest.test_case "pdp8 DRC time budget" `Slow test_pdp8_drc_time_budget
   ; prop_spaced_metal_clean
+  ; prop_check_flat_is_brute_deck
   ]

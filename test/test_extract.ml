@@ -283,6 +283,22 @@ let test_routed_chain_cif_roundtrip () =
   check_bool "roundtrips" true
     (Sc_cif.Elaborate.roundtrip_ok (Sc_stdcell.Nmos.routed_chain 4))
 
+let test_pdp8_full_chip_extraction () =
+  (* Extraction sees every transistor the layout statistics count, with no
+     analog oddities, and names every pin of the chip. *)
+  let d = Sc_core.Designs.parse Sc_core.Designs.pdp8_src in
+  let r = Sc_synth.Synth.gates d in
+  let layout =
+    Sc_core.Compiler.layout_of_circuit ~name:"pdp8" r.Sc_synth.Synth.circuit
+  in
+  let net = Extractor.extract layout in
+  check_int "devices = transistor count" (Stats.transistor_count layout)
+    (devices net);
+  Alcotest.(check (list string)) "no warnings" [] net.Extractor.warnings;
+  Alcotest.(check (list string)) "every port named"
+    (List.map (fun (p : Cell.port) -> p.pname) layout.Cell.ports)
+    (List.map fst net.Extractor.named)
+
 let suite =
   [ Alcotest.test_case "inv extraction" `Quick test_inv_extraction
   ; Alcotest.test_case "primitive device counts" `Quick test_primitive_device_counts
@@ -301,4 +317,6 @@ let suite =
   ; prop_random_pla_artwork_computes
   ; Alcotest.test_case "routed chain artwork" `Quick test_routed_chain_artwork
   ; Alcotest.test_case "routed chain CIF roundtrip" `Quick test_routed_chain_cif_roundtrip
+  ; Alcotest.test_case "pdp8 full-chip extraction" `Slow
+      test_pdp8_full_chip_extraction
   ]

@@ -155,6 +155,153 @@ let prop_rect_area_preserved =
     (QCheck.make (QCheck.Gen.pair gen_transform gen_rect))
     (fun (t, r) -> Rect.area (Transform.apply_rect t r) = Rect.area r)
 
+
+(* --- the rectangle index --- *)
+
+(* Layer-like rectangle sets: small boxes, chip-wide rails in either axis,
+   exact duplicates and zero-area rectangles. *)
+let gen_layer =
+  let open QCheck.Gen in
+  let box =
+    frequency
+      [ (6, map2 (fun (x, y) (w, h) -> Rect.of_corner_wh ~x ~y ~w ~h)
+             (pair small_int small_int) (pair (int_range 0 8) (int_range 0 8)))
+      ; (1, map2 (fun y h -> Rect.make (-60) y 60 (y + h)) small_int
+             (int_range 0 4))
+      ; (1, map2 (fun x w -> Rect.make x (-60) (x + w) 60) small_int
+             (int_range 0 4))
+      ]
+  in
+  list_size (int_range 0 60) box >>= fun rs ->
+  (* copy a few rectangles over others: exact duplicates *)
+  map
+    (fun picks ->
+      let a = Array.of_list rs in
+      let n = Array.length a in
+      List.iter (fun (i, j) -> if n > 0 then a.(i mod n) <- a.(j mod n)) picks;
+      a)
+    (list_size (int_range 0 5) (pair nat nat))
+
+let print_layer a =
+  String.concat " " (Array.to_list (Array.map Rect.to_string a))
+
+let prop_near_is_filter =
+  qtest "index near = separation filter, in order" 300
+    (QCheck.make
+       ~print:(fun (a, (d, r)) ->
+         Printf.sprintf "%s | d=%d r=%s" (print_layer a) d (Rect.to_string r))
+       QCheck.Gen.(pair gen_layer (pair (int_range 0 6) gen_rect)))
+    (fun (a, (d, r)) ->
+      let idx = Rect_index.make a in
+      let brute q =
+        List.filter (fun i -> Rect.separation a.(i) q <= d)
+          (List.init (Array.length a) Fun.id)
+      in
+      Rect_index.near idx d r = brute r
+      && Array.for_all (fun q -> Rect_index.near idx d q = brute q) a)
+
+(* touch-connected regions by breadth-first closure over all pairs *)
+let brute_regions a =
+  let n = Array.length a in
+  let label = Array.make n (-1) in
+  for s = 0 to n - 1 do
+    if label.(s) < 0 then begin
+      let queue = Queue.create () in
+      label.(s) <- s;
+      Queue.add s queue;
+      while not (Queue.is_empty queue) do
+        let i = Queue.pop queue in
+        for j = 0 to n - 1 do
+          if label.(j) < 0 && Rect.touches_or_overlaps a.(i) a.(j) then begin
+            label.(j) <- s;
+            Queue.add j queue
+          end
+        done
+      done
+    end
+  done;
+  label
+
+let prop_components_partition =
+  qtest "index components = touch closure" 300
+    (QCheck.make ~print:print_layer gen_layer)
+    (fun a ->
+      let comp = Rect_index.components (Rect_index.make a) in
+      let brute = brute_regions a in
+      let n = Array.length a in
+      List.for_all
+        (fun i ->
+          List.for_all
+            (fun j -> comp.(i) = comp.(j) = (brute.(i) = brute.(j)))
+            (List.init n Fun.id))
+        (List.init n Fun.id))
+
+(* Roots, not only the partition: all-pairs unions in ascending order on a
+   plain union-find pick the same root for every region. *)
+let prop_components_roots =
+  qtest "index components keep all-pairs roots" 300
+    (QCheck.make ~print:print_layer gen_layer)
+    (fun a ->
+      let n = Array.length a in
+      let parent = Array.init n Fun.id in
+      let rec find i = if parent.(i) = i then i else find parent.(i) in
+      for i = 0 to n - 1 do
+        for j = i + 1 to n - 1 do
+          if Rect.touches_or_overlaps a.(i) a.(j) then begin
+            let ri = find i and rj = find j in
+            if ri <> rj then parent.(ri) <- rj
+          end
+        done
+      done;
+      Rect_index.components (Rect_index.make a) = Array.init n find)
+
+let test_index_size_linear_on_pile () =
+  (* 2000 stacked chip-sized boxes over 2000 small ones: at the density
+     pitch each big box would cross about a thousand buckets. *)
+  let n = 4000 in
+  let a =
+    Array.init n (fun i ->
+        if i mod 2 = 0 then Rect.make (i mod 7) 0 1000 1000
+        else
+          Rect.of_corner_wh ~x:(i * 13 mod 1000) ~y:(i * 29 mod 1000) ~w:4 ~h:4)
+  in
+  let idx = Rect_index.make a in
+  let words =
+    Obj.reachable_words (Obj.repr idx) - Obj.reachable_words (Obj.repr a)
+  in
+  check_bool (Printf.sprintf "index words %d <= 12n" words) true
+    (words <= 12 * n);
+  let q = Rect.make 500 500 501 501 in
+  Alcotest.(check (list int)) "near still exact"
+    (List.filter
+       (fun i -> Rect.touches_or_overlaps a.(i) q)
+       (List.init n Fun.id))
+    (Rect_index.near idx 0 q)
+
+let prop_subtract_raster =
+  qtest "subtract leaves exactly the uncut cells" 500
+    (QCheck.make
+       ~print:(fun (r, cuts) -> print_layer (Array.of_list (r :: cuts)))
+       QCheck.Gen.(pair gen_rect (list_size (int_range 0 6) gen_rect)))
+    (fun (r, cuts) ->
+      let pieces = Rect.subtract r cuts in
+      let cell x y = Rect.make x y (x + 1) (y + 1) in
+      let ok = ref (List.for_all (fun p -> not (Rect.is_empty p)) pieces) in
+      for x = -50 to 49 do
+        for y = -50 to 49 do
+          let c = cell x y in
+          let want =
+            Rect.contains r c
+            && not (List.exists (fun k -> Rect.contains k c) cuts)
+          in
+          let have =
+            List.length (List.filter (fun p -> Rect.contains p c) pieces)
+          in
+          if have <> if want then 1 else 0 then ok := false
+        done
+      done;
+      !ok)
+
 let suite =
   [ Alcotest.test_case "rect normalizes" `Quick test_rect_normalizes
   ; Alcotest.test_case "rect center/corner constructors" `Quick test_rect_center_corner
@@ -172,4 +319,10 @@ let suite =
   ; prop_invert_roundtrip
   ; prop_apply_rect_matches_corners
   ; prop_rect_area_preserved
+  ; Alcotest.test_case "index size linear on a pile of boxes" `Quick
+      test_index_size_linear_on_pile
+  ; prop_near_is_filter
+  ; prop_components_partition
+  ; prop_components_roots
+  ; prop_subtract_raster
   ]
