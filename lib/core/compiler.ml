@@ -15,25 +15,6 @@ type compiled =
 
 let to_cif = Sc_cif.Emit.to_string
 
-(* DRC and CIF emission carry their own "drc" / "emit" spans, so
-   measuring a layout is what populates those rows of the stage table. *)
-let measure layout =
-  let c =
-    { layout
-    ; cif = Sc_cif.Emit.to_string layout
-    ; drc_violations = List.length (Sc_drc.Checker.check layout)
-    ; area = Cell.area layout
-    ; transistors = Stats.transistor_count layout
-    }
-  in
-  if Obs.enabled () then begin
-    Obs.gauge "area" c.area;
-    Obs.gauge "layout.transistors" c.transistors;
-    Obs.gauge "layout.cells" (List.length (Cell.all_cells layout));
-    Obs.gauge "layout.rects" (Cell.flat_rect_count layout)
-  end;
-  c
-
 let place_circuit ?(restarts = 0) circuit =
   let problem = Sc_place.Placer.problem_of_circuit circuit in
   if restarts <= 0 then Sc_place.Placer.ordered problem

@@ -139,6 +139,3 @@ val layout_of_circuit :
 
 (** Emit a cell hierarchy as CIF text ({!Sc_cif.Emit.to_string}). *)
 val to_cif : Cell.t -> string
-
-(** Measure an existing layout the same way the compilers do. *)
-val measure : Cell.t -> compiled

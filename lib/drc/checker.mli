@@ -14,21 +14,29 @@
       overlap is still flagged);
     - enclosure (contact cuts inside metal, glass inside pad metal).
 
-    Every pairwise rule asks one {!Sc_geom.Rect_index} per layer (one over
-    the merged poly and diffusion array for cross-layer spacing) for the
-    rectangles within reach, in both axes, so a rectangle visits only the
-    buckets around it; a chip-wide rail is a few bucket entries, not a
-    scan of the layer.  Regions come from {!Sc_geom.Rect_index.components};
-    enclosure asks whether {!Sc_geom.Rect.subtract} leaves any of the
-    inflated inner rectangle uncovered by the outer rectangles touching
-    it.  Each layer is sorted by [xmin] first, and every rule reports in
-    that order.
+    Only splitting the flattened boxes by layer runs on the calling
+    domain.  The rest runs on an {!Sc_par.Pool} — the process default
+    unless [?pool] is given — in two rounds of tasks.  The first builds
+    one {!Sc_geom.Rect_index} per layer, over the layer's input order.
+    The second runs the rules: width per layer; spacing per layer, where
+    one {!Sc_geom.Rect_index.iter} query per rectangle joins touching
+    pairs into regions and keeps the closer pairs that do not touch as
+    candidates; cross-layer spacing, where each poly rectangle queries the
+    diffusion index; and enclosure, which asks whether
+    {!Sc_geom.Rect.subtract} leaves any of the inflated inner rectangle
+    uncovered by the outer rectangles touching it.  The last two are
+    sliced across the pool.  A rectangle visits only the buckets around
+    it, so a chip-wide rail is a few bucket entries, not a scan of the
+    layer.
 
-    The deck decomposes into independent tasks (per rule, per layer, per
-    slice of the sorted rectangle array) executed on an {!Sc_par.Pool}
-    — the process default unless [?pool] is given.  Task results are
-    concatenated in submission order, so the violation list is identical
-    at every pool size. *)
+    Violations are found in any order.  Only when a rule finds some are
+    they sorted into report order: for a layer, each rectangle's position
+    once the layer is heap-sorted by [xmin] ([Array.sort]); for the
+    poly/diffusion rule, the total order of the two layers merged by
+    [xmin], then layer, then rectangle.  A clean layout therefore never
+    sorts.  Rules report in deck order — width, spacing, cross-layer
+    spacing, enclosure — so the violation list is identical at every
+    pool size. *)
 
 open Sc_geom
 open Sc_tech

@@ -13,9 +13,13 @@ type t
 (** [make rects] indexes [rects]; indices below refer to this array. *)
 val make : Rect.t array -> t
 
-(** [near idx d r] is every [i] with [Rect.separation rects.(i) r <= d],
-    in ascending order.  [near idx 0 r] is the rectangles touching or
-    overlapping [r]; a negative [d] finds nothing. *)
+(** [iter idx d r f] calls [f i] once for every [i] with
+    [Rect.separation rects.(i) r <= d], in bucket order, and allocates
+    nothing itself.  [iter idx 0 r] visits the rectangles touching or
+    overlapping [r]; a negative [d] visits none. *)
+val iter : t -> int -> Rect.t -> (int -> unit) -> unit
+
+(** [near idx d r] is what [iter idx d r] visits, in ascending order. *)
 val near : t -> int -> Rect.t -> int list
 
 (** [components idx] labels each rectangle with the root of its

@@ -42,6 +42,8 @@ type state =
   ; exec_cond : Condition.t  (* signalled when an execution slot frees *)
   ; exec_slots : int  (* max concurrent execution domains *)
   ; mutable exec_active : int
+  ; jobs : (unit -> unit) option Queue.t  (* [None] retires a domain *)
+  ; job_cond : Condition.t  (* signalled when [jobs] grows *)
   ; mutable peak_executions : int  (* high-water mark of [exec_active] *)
   ; verb_counts : (string, int) Hashtbl.t  (* completed requests per verb *)
   ; latency : (string, Histogram.t) Hashtbl.t  (* per-verb, microseconds *)
@@ -67,19 +69,47 @@ let jnum i = Json.Num (float_of_int i)
 
 (* --- the execution path --- *)
 
-(* Every pipeline execution runs on a freshly spawned domain with a
-   per-request [Obs.Recorder.t] installed as the ambient one, so
-   instrumented compiles record concurrently into disjoint recorders —
-   no shared observability state, no lock.  (The old design serialized
-   every execution on an [obs_lock] because the recorder was
-   process-global.)  Spawning a domain rather than running on the
-   connection's systhread also buys wall-clock overlap: systhreads of
-   one domain share the runtime lock, domains do not, and the joining
-   connection thread releases the lock while it waits.  A bounded slot
-   count keeps a burst of cold compiles from spawning domains without
-   limit; [peak_executions] records the high-water mark of concurrently
-   running executions, which bench e16 asserts exceeds 1. *)
+(* Every pipeline execution runs on one of [exec_slots] long-lived
+   execution domains with a per-request [Obs.Recorder.t] installed as the
+   ambient one, so instrumented compiles record concurrently into
+   disjoint recorders — no shared observability state, no lock.  (The old
+   design serialized every execution on an [obs_lock] because the
+   recorder was process-global.)  Running on a domain rather than on the
+   connection's systhread buys wall-clock overlap: systhreads of one
+   domain share the runtime lock, domains do not, and the waiting
+   connection thread releases the lock.  The domains are reused rather
+   than spawned per execution: on OCaml 5.1, with a fresh domain per
+   execution, the daemon's heap grew with every execution (to five times
+   its live data after 15,000 requests of the serve benchmark), where on
+   long-lived domains it levels off.  A bounded slot count keeps a burst
+   of cold compiles queued;
+   [peak_executions] records the high-water mark of concurrently running
+   executions, which bench e16 asserts exceeds 1. *)
+let exec_domain st () =
+  let rec loop () =
+    let job =
+      locked st (fun () ->
+          while Queue.is_empty st.jobs do
+            Condition.wait st.job_cond st.lock
+          done;
+          Queue.pop st.jobs)
+    in
+    match job with
+    | None -> ()
+    | Some job ->
+      job ();
+      loop ()
+  in
+  loop ()
+
 let run_on_domain st f =
+  let result = ref None and m = Mutex.create () and c = Condition.create () in
+  let job () =
+    let r = match f () with v -> Ok v | exception e -> Error e in
+    Mutex.protect m (fun () ->
+        result := Some r;
+        Condition.signal c)
+  in
   Mutex.lock st.lock;
   while st.exec_active >= st.exec_slots do
     Condition.wait st.exec_cond st.lock
@@ -87,13 +117,23 @@ let run_on_domain st f =
   st.exec_active <- st.exec_active + 1;
   if st.exec_active > st.peak_executions then
     st.peak_executions <- st.exec_active;
+  Queue.push (Some job) st.jobs;
+  Condition.signal st.job_cond;
   Mutex.unlock st.lock;
   Fun.protect
     ~finally:(fun () ->
       locked st (fun () ->
           st.exec_active <- st.exec_active - 1;
           Condition.broadcast st.exec_cond))
-    (fun () -> Domain.join (Domain.spawn f))
+    (fun () ->
+      let r =
+        Mutex.protect m (fun () ->
+            while Option.is_none !result do
+              Condition.wait c m
+            done;
+            Option.get !result)
+      in
+      match r with Ok v -> v | Error e -> raise e)
 
 let sanitize name =
   String.map
@@ -163,7 +203,7 @@ let do_compile st ~key (spec : P.compile_spec) =
                     (fun (name, s) -> (name, Pipeline.status_to_string s))
                     (Pipeline.log ())
                 in
-                (* this domain's id is never reused: drop its journal *)
+                (* the journal is this execution's alone *)
                 Pipeline.drop_log ();
                 Obs.Recorder.disable recorder;
                 maybe_trace st ~recorder ~design:spec.design ~key;
@@ -542,6 +582,8 @@ let run ?(jobs = 1) ?stage_cache ?(handle_signals = true) ?exec_domains ?log
       ; exec_cond = Condition.create ()
       ; exec_slots
       ; exec_active = 0
+      ; jobs = Queue.create ()
+      ; job_cond = Condition.create ()
       ; peak_executions = 0
       ; verb_counts = Hashtbl.create 8
       ; latency = Hashtbl.create 8
@@ -590,6 +632,7 @@ let run ?(jobs = 1) ?stage_cache ?(handle_signals = true) ?exec_domains ?log
         ; ("trace_sample", Json.Str (Printf.sprintf "%d/%d" n m))
         ]
       | None -> []);
+    let executors = List.init exec_slots (fun _ -> Domain.spawn (exec_domain st)) in
     let rec accept_loop () =
       if not (locked st (fun () -> st.stop)) then begin
         match Unix.select [ listen_fd; stop_r ] [] [] (-1.0) with
@@ -621,6 +664,10 @@ let run ?(jobs = 1) ?stage_cache ?(handle_signals = true) ?exec_domains ?log
       (fun fd -> try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with _ -> ())
       conns;
     List.iter Thread.join (locked st (fun () -> st.threads));
+    locked st (fun () ->
+        List.iter (fun _ -> Queue.push None st.jobs) executors;
+        Condition.broadcast st.job_cond);
+    List.iter Domain.join executors;
     (try Unix.close listen_fd with _ -> ());
     (try Unix.close stop_r with _ -> ());
     (try Unix.close stop_w with _ -> ());

@@ -4,7 +4,8 @@
     a [Shutdown] request or (by default) SIGTERM/SIGINT.  Each
     connection gets its own lightweight thread for socket I/O; each
     {e execution} (a compile or equiv the dedup table didn't already
-    have in flight) runs on its own freshly spawned domain, so the
+    have in flight) runs on one of a fixed set of long-lived execution
+    domains, so the
     process-global pass manager ({!Sc_pipeline.Pipeline}), its
     content-addressed stage cache ({!Sc_cache.Cache}, sharded on disk
     when [stage_cache] is given) and the {!Sc_par.Pool} worker domains

@@ -168,8 +168,8 @@ let test_wide_outer_still_encloses () =
 
 let test_pdp8_drc_time_budget () =
   (* The all-pairs deck took ~2.7 s of CPU on the pdp8 layout; the
-     sorted sweep takes ~0.5 s.  Budget at 10x the observed sweep time
-     so the test only trips if the quadratic behaviour comes back. *)
+     indexed checker takes ~0.03 s (2-vCPU x86-64 host, pool of one).  The
+     5 s budget trips only if quadratic behaviour comes back. *)
   let d = Sc_core.Designs.parse Sc_core.Designs.pdp8_src in
   let r = Sc_synth.Synth.gates d in
   let layout =
@@ -328,28 +328,50 @@ let brute_deck flat =
     [ (Layer.Contact, Layer.Metal); (Layer.Glass, Layer.Metal) ];
   List.rev !out
 
+let pools =
+  lazy [ (1, Sc_par.Pool.create ~domains:1 ()); (3, Sc_par.Pool.create ~domains:3 ()) ]
+
+(* Violations are found in any order, on any domain, and sorted into
+   report order only afterwards, so the deck is compared at a pool of one
+   and at a pool of three.  Copies of a box test the order between equal
+   rectangles. *)
 let prop_check_flat_is_brute_deck =
   let gen =
     QCheck.Gen.(
-      list_size (int_range 0 40)
-        (map3
-           (fun l (x, y) (w, h) ->
-             { Flatten.layer = l; rect = Rect.of_corner_wh ~x ~y ~w ~h })
-           (oneofl Layer.all)
-           (pair (int_range 0 30) (int_range 0 30))
-           (pair (int_range 0 12) (int_range 0 12))))
+      pair (oneofl [ 1; 3 ])
+        ( list_size (int_range 0 40)
+            (map3
+               (fun l (x, y) (w, h) ->
+                 { Flatten.layer = l; rect = Rect.of_corner_wh ~x ~y ~w ~h })
+               (oneofl Layer.all)
+               (pair (int_range 0 30) (int_range 0 30))
+               (pair (int_range 0 12) (int_range 0 12)))
+        >>= fun fl ->
+          map
+            (fun picks ->
+              let a = Array.of_list fl in
+              List.iter
+                (fun (i, j) ->
+                  if a <> [||] then
+                    a.(i mod Array.length a) <- a.(j mod Array.length a))
+                picks;
+              Array.to_list a)
+            (list_size (int_range 0 4) (pair nat nat)) ))
   in
   QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~name:"check_flat = all-pairs deck, in order" ~count:300
+    (QCheck.Test.make ~name:"check_flat = all-pairs deck, in order" ~count:400
        (QCheck.make
-          ~print:(fun fl ->
-            String.concat " "
-              (List.map
-                 (fun (fb : Flatten.flat_box) ->
-                   Layer.to_string fb.layer ^ Rect.to_string fb.rect)
-                 fl))
+          ~print:(fun (domains, fl) ->
+            Printf.sprintf "pool %d: %s" domains
+              (String.concat " "
+                 (List.map
+                    (fun (fb : Flatten.flat_box) ->
+                      Layer.to_string fb.layer ^ Rect.to_string fb.rect)
+                    fl)))
           gen)
-       (fun flat -> Checker.check_flat flat = brute_deck flat))
+       (fun (domains, flat) ->
+         let pool = List.assoc domains (Lazy.force pools) in
+         Checker.check_flat ~pool flat = brute_deck flat))
 
 let suite =
   [ Alcotest.test_case "clean layout" `Quick test_clean_layout

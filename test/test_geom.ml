@@ -200,6 +200,25 @@ let prop_near_is_filter =
       Rect_index.near idx d r = brute r
       && Array.for_all (fun q -> Rect_index.near idx d q = brute q) a)
 
+let prop_iter_visits_near_once =
+  qtest "index iter visits each of near once" 300
+    (QCheck.make
+       ~print:(fun (a, (d, r)) ->
+         Printf.sprintf "%s | d=%d r=%s" (print_layer a) d (Rect.to_string r))
+       QCheck.Gen.(pair gen_layer (pair (int_range (-1) 6) gen_rect)))
+    (fun (a, (d, r)) ->
+      let idx = Rect_index.make a in
+      let visits q =
+        let seen = Array.make (Array.length a) 0 in
+        Rect_index.iter idx d q (fun i -> seen.(i) <- seen.(i) + 1);
+        let near = Rect_index.near idx d q in
+        Array.for_all Fun.id
+          (Array.mapi
+             (fun i k -> k = if List.mem i near then 1 else 0)
+             seen)
+      in
+      visits r && Array.for_all visits a)
+
 (* touch-connected regions by breadth-first closure over all pairs *)
 let brute_regions a =
   let n = Array.length a in
@@ -322,6 +341,7 @@ let suite =
   ; Alcotest.test_case "index size linear on a pile of boxes" `Quick
       test_index_size_linear_on_pile
   ; prop_near_is_filter
+  ; prop_iter_visits_near_once
   ; prop_components_partition
   ; prop_components_roots
   ; prop_subtract_raster
