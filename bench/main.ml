@@ -600,8 +600,11 @@ let profile () =
     Printf.printf "\n"
   in
   List.iter
-    (fun stage -> row stage stage)
-    [ "parse"; "compile"; "optimize"; "place"; "route"; "drc"; "emit" ];
+    (fun (label, path) -> row label path)
+    [ ("parse", "parse"); ("compile", "compile"); ("optimize", "optimize")
+    ; ("place", "place"); ("route", "route"); ("drc", "drc")
+    ; ("  flatten", "drc.flatten"); ("emit", "emit"); ("measure", "measure")
+    ];
   Printf.printf "%-12s" "total";
   List.iter
     (fun (_, table, _, _) ->
@@ -631,7 +634,7 @@ let profile () =
     ; "route.height"; "drc.violations"; "cif.commands"; "cif.bytes"
     ];
   Printf.printf
-    "\nthe drc and emit stages dominate (geometry volume), synthesis is \
+    "\ndrc leads on the small designs and route on pdp8; synthesis is \
      cheap; `scc isp DESIGN --stats --trace out.json` reproduces any row \
      with a loadable Chrome trace\n";
   (* the same data, machine-readable: one metrics snapshot per design,
@@ -809,7 +812,7 @@ let micro () =
       ; Test.make ~name:"route.channel(6 nets)"
           (Staged.stage (fun () -> Sc_route.Channel.route chan_spec))
       ; Test.make ~name:"layout.flatten(stdcell row)"
-          (Staged.stage (fun () -> Sc_layout.Flatten.run cell_row))
+          (Staged.stage (fun () -> Sc_layout.Flatten.view cell_row))
       ; (* the observability bargain: a span must cost one branch when
            disabled, so instrumented hot paths stay at their old numbers *)
         Test.make ~name:"obs.span(disabled)"
@@ -891,7 +894,7 @@ let e11 () =
       let circuit = (Sc_synth.Synth.gates d).Sc_synth.Synth.circuit in
       let problem = Sc_place.Placer.problem_of_circuit circuit in
       let layout = Sc_core.Compiler.layout_of_circuit ~name circuit in
-      let flat = Sc_layout.Flatten.run layout in
+      let flat = Sc_layout.Flatten.view layout in
       let row stage f check_same =
         let results = List.map (fun j -> with_pool j f) levels in
         print_row name stage

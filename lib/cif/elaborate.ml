@@ -210,18 +210,20 @@ let of_string text =
   | Ok file -> cell_of_file file
   | Error msg -> Error (Syntax msg)
 
+(* each layer's rectangles in sorted order *)
 let flat_signature cell =
-  List.sort compare
-    (List.map
-       (fun (fb : Flatten.flat_box) ->
-         ( Layer.index fb.layer
-         , fb.rect.Rect.xmin
-         , fb.rect.Rect.ymin
-         , fb.rect.Rect.xmax
-         , fb.rect.Rect.ymax ))
-       (Flatten.run cell))
+  Array.map
+    (fun rects ->
+      let a = Array.copy rects in
+      Array.sort Rect.compare a;
+      a)
+    (Flatten.view cell)
 
 let roundtrip_ok cell =
   match of_string (Emit.to_string cell) with
-  | Ok cell' -> flat_signature cell = flat_signature cell'
+  | Ok cell' ->
+    let a = flat_signature cell and b = flat_signature cell' in
+    Array.for_all2
+      (fun x y -> Array.length x = Array.length y && Array.for_all2 Rect.equal x y)
+      a b
   | Error _ -> false

@@ -6,9 +6,20 @@
     written as their covering boxes, which keeps emission/parsing exactly
     invertible on geometry; symbol names travel in the "9" user extension
     and ports in the "94" extension ([94 name cx cy layer], doubled
-    coordinates). *)
+    coordinates).
 
-val file_of_cell : Sc_layout.Cell.t -> Ast.file
+    The writer makes one walk over {!Sc_layout.Cell.all_cells}, children
+    before parents, numbering symbols in that order.  It writes each
+    command straight into one buffer as it goes — the comment line; per
+    symbol [DS], its name, its boxes grouped by layer (layers in
+    [Layer.index] order, elements in order within a layer, each run under
+    one [L]), its ports, its calls and [DF]; then the root call and [E] —
+    and counts commands and boxes per layer while writing.  No command
+    list is built. *)
+
+(** [sanitize name] replaces every character outside [A-Za-z0-9_.-] with
+    ['_'], so a name is one CIF token. *)
+val sanitize : string -> string
 
 type emitted =
   { text : string  (** the rendered CIF file *)
@@ -30,6 +41,8 @@ val replay_counters : emitted -> unit
 val to_string : Sc_layout.Cell.t -> string
 (** [(emit cell).text]. *)
 
+(** [to_channel oc cell] writes the CIF text, without the span or the
+    counters. *)
 val to_channel : out_channel -> Sc_layout.Cell.t -> unit
 
 (** [write path cell] writes the CIF file at [path]. *)

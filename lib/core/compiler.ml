@@ -164,10 +164,23 @@ let route_pass : (Sc_place.Placer.placement, route_summary option) P.pass =
         Ok (Some s)
       | None -> Ok None)
 
-let drc_pass : (Cell.t, int) P.pass =
+(* A layout staged for the back half carries its flat view, built on
+   first use: drc and measure share it, and a layout whose drc and
+   measure both hit the stage cache is never flattened.  The view is a
+   function of the layout, so staging it leaves the key — and every
+   cache entry keyed on it — as it was. *)
+type flat_layout = Cell.t * Flatten.t Lazy.t
+
+let with_view (layout_staged : Cell.t P.staged) : flat_layout P.staged =
+  P.map
+    (fun layout -> (layout, lazy (Obs.span "flatten" (fun () -> Flatten.view layout))))
+    layout_staged
+
+let drc_pass : (flat_layout, int) P.pass =
   P.register ~name:"drc"
     ~replay:(fun _ n -> Obs.count "drc.violations" n)
-    (fun layout -> Ok (List.length (Sc_drc.Checker.check layout)))
+    (fun (_, view) ->
+      Ok (List.length (Sc_drc.Checker.check_view (Lazy.force view))))
 
 let emit_pass : (Cell.t, Sc_cif.Emit.emitted) P.pass =
   P.register ~name:"emit"
@@ -187,13 +200,13 @@ let measure_gauges m =
   Obs.gauge "layout.cells" m.mcells;
   Obs.gauge "layout.rects" m.mrects
 
-let measure_pass : (Cell.t, measured) P.pass =
+let measure_pass : (flat_layout, measured) P.pass =
   P.register ~name:"measure"
     ~replay:(fun _ m -> measure_gauges m)
-    (fun layout ->
+    (fun (layout, view) ->
       let m =
         { marea = Cell.area layout
-        ; mtransistors = Stats.transistor_count layout
+        ; mtransistors = Stats.transistors (Lazy.force view)
         ; mcells = List.length (Cell.all_cells layout)
         ; mrects = Cell.flat_rect_count layout
         }
@@ -273,9 +286,10 @@ let ( let* ) = Result.bind
 
 (* the back half shared by every path: layout -> drc / cif / stats *)
 let finish_layout layout_staged =
-  let* drc = P.run drc_pass layout_staged in
+  let flat = with_view layout_staged in
+  let* drc = P.run drc_pass flat in
   let* emitted = P.run emit_pass layout_staged in
-  let* m = P.run measure_pass layout_staged in
+  let* m = P.run measure_pass flat in
   let mv = P.value m in
   Ok
     { layout = P.value layout_staged
@@ -407,9 +421,10 @@ let run_module ~record ~certify ~restarts text () =
   let mr =
     let* design = P.run parse_pass (P.source text) in
     let* layout_staged, circuit = gates_path ~restarts design in
-    let* drc = P.run drc_pass layout_staged in
+    let flat = with_view layout_staged in
+    let* drc = P.run drc_pass flat in
     let* _emitted = P.run emit_pass layout_staged in
-    let* m = P.run measure_pass layout_staged in
+    let* m = P.run measure_pass flat in
     Ok
       { mc_name = circuit.Sc_netlist.Circuit.cname
       ; mc_sig = Sc_netlist.Signature.of_circuit circuit

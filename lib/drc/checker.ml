@@ -48,26 +48,25 @@ let rule finds order =
       | [] -> []
       | fs -> order fs )
 
-(* Only the split by layer runs on the calling domain.  One round of pool
-   tasks indexes every layer; a second runs every rule, each sliced across
-   the pool where it can be.  Rules report in a fixed order (width,
-   spacing, cross-layer spacing, enclosure), so every [-j] level yields
-   byte-identical reports. *)
-let check_flat ?pool flat =
+(* [rects] without its degenerate rectangles, in order; [rects] itself
+   when it has none. *)
+let drawn rects =
+  if not (Array.exists Rect.is_empty rects) then rects
+  else Array.of_seq (Seq.filter (fun r -> not (Rect.is_empty r)) (Array.to_seq rects))
+
+(* Everything runs on the pool.  One round of tasks drops each layer's
+   degenerate rectangles and indexes the rest; a second runs every rule,
+   each sliced across the pool where it can be.  Rules report in a fixed
+   order (width, spacing, cross-layer spacing, enclosure), so every [-j]
+   level yields byte-identical reports. *)
+let check_flat ?pool view =
   let pool = match pool with Some p -> p | None -> Sc_par.Pool.default () in
-  let by_layer = Array.make Layer.count [] in
-  List.iter
-    (fun (fb : Flatten.flat_box) ->
-      if not (Rect.is_empty fb.rect) then
-        let i = Layer.index fb.layer in
-        by_layer.(i) <- fb.rect :: by_layer.(i))
-    flat;
   let layers =
     Sc_par.Pool.map_array ~label:"drc.index" pool
-      (fun rs ->
-        let rects = Array.of_list rs in
+      (fun all ->
+        let rects = drawn all in
         (rects, Rect_index.make rects))
-      by_layer
+      view
   in
   let layer l = layers.(Layer.index l) in
   let shards n = ranges n (4 * Sc_par.Pool.size pool) in
@@ -76,6 +75,7 @@ let check_flat ?pool flat =
     List.map
       (fun l ->
         let w = Rules.min_width l in
+        let rects, _ = layer l in
         rule
           [ (fun () ->
               List.filter_map
@@ -89,7 +89,7 @@ let check_flat ?pool flat =
                           Printf.sprintf "feature is %d lambda wide" narrow
                       }
                   else None)
-                by_layer.(Layer.index l)) ]
+                (Array.to_list rects)) ]
           Fun.id)
       Layer.all
   in
@@ -225,11 +225,14 @@ let check_flat ?pool flat =
     (Sc_par.Pool.run ~label:"drc.shard" pool (List.concat_map fst rules));
   List.concat_map (fun (_, order) -> order ()) rules
 
-let check ?pool cell =
+let check_view ?pool view =
   Sc_obs.Obs.span "drc" @@ fun () ->
-  let vs = check_flat ?pool (Flatten.run cell) in
+  let vs = check_flat ?pool view in
   Sc_obs.Obs.count "drc.violations" (List.length vs);
   vs
+
+let check ?pool cell =
+  Sc_obs.Obs.span "drc" @@ fun () -> check_view ?pool (Flatten.view cell)
 
 let is_clean cell = check cell = []
 

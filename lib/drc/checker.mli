@@ -14,10 +14,11 @@
       overlap is still flagged);
     - enclosure (contact cuts inside metal, glass inside pad metal).
 
-    Only splitting the flattened boxes by layer runs on the calling
-    domain.  The rest runs on an {!Sc_par.Pool} — the process default
-    unless [?pool] is given — in two rounds of tasks.  The first builds
-    one {!Sc_geom.Rect_index} per layer, over the layer's input order.
+    The checker reads a {!Sc_layout.Flatten.t} view: one rectangle array
+    per layer, in preorder.  All of the work runs on an {!Sc_par.Pool} —
+    the process default unless [?pool] is given — in two rounds of
+    tasks.  The first drops each layer's degenerate rectangles and builds
+    one {!Sc_geom.Rect_index} over the rest, in the view's order.
     The second runs the rules: width per layer; spacing per layer, where
     one {!Sc_geom.Rect_index.iter} query per rectangle joins touching
     pairs into regions and keeps the closer pairs that do not touch as
@@ -48,10 +49,15 @@ type violation =
   ; detail : string
   }
 
+(** [check c] flattens [c] ({!Flatten.view}) and runs {!check_view}. *)
 val check : ?pool:Sc_par.Pool.t -> Cell.t -> violation list
 
-(** [check_flat boxes] runs the deck on already flattened geometry. *)
-val check_flat : ?pool:Sc_par.Pool.t -> Flatten.flat_box list -> violation list
+(** [check_view v] runs the deck on a flat view inside a ["drc"] span and
+    reports the ["drc.violations"] counter. *)
+val check_view : ?pool:Sc_par.Pool.t -> Flatten.t -> violation list
+
+(** [check_flat v] runs the deck on a flat view and reports nothing. *)
+val check_flat : ?pool:Sc_par.Pool.t -> Flatten.t -> violation list
 
 val is_clean : Cell.t -> bool
 

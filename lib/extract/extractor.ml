@@ -16,15 +16,14 @@ type netlist =
   }
 
 let extract cell =
-  let flat = Flatten.run cell in
+  let view = Flatten.view cell in
+  (* each layer's drawn rectangles, last to first: node numbers and device
+     order follow from this order *)
   let layer l =
     Array.of_list
-      (List.filter_map
-         (fun (fb : Flatten.flat_box) ->
-           if Layer.equal fb.layer l && not (Rect.is_empty fb.rect) then
-             Some fb.rect
-           else None)
-         flat)
+      (Array.fold_left
+         (fun acc r -> if Rect.is_empty r then acc else r :: acc)
+         [] (Flatten.layer view l))
   in
   let polys = layer Layer.Poly in
   let diffs = layer Layer.Diffusion in

@@ -1,7 +1,13 @@
 type t = { xmin : int; ymin : int; xmax : int; ymax : int }
 
+(* [Int.min]/[Int.max] throughout: Stdlib [min]/[max] are polymorphic
+   compare calls unless the compiler specialises them. *)
 let make x0 y0 x1 y1 =
-  { xmin = min x0 x1; ymin = min y0 y1; xmax = max x0 x1; ymax = max y0 y1 }
+  { xmin = Int.min x0 x1
+  ; ymin = Int.min y0 y1
+  ; xmax = Int.max x0 x1
+  ; ymax = Int.max y0 y1
+  }
 
 let of_center_wh ~cx ~cy ~w ~h =
   assert (w >= 0 && h >= 0);
@@ -55,10 +61,10 @@ let contains outer inner =
 let inter a b =
   if overlaps a b then
     Some
-      { xmin = max a.xmin b.xmin
-      ; ymin = max a.ymin b.ymin
-      ; xmax = min a.xmax b.xmax
-      ; ymax = min a.ymax b.ymax
+      { xmin = Int.max a.xmin b.xmin
+      ; ymin = Int.max a.ymin b.ymin
+      ; xmax = Int.min a.xmax b.xmax
+      ; ymax = Int.min a.ymax b.ymax
       }
   else None
 
@@ -72,11 +78,11 @@ let subtract r cuts =
           frags := { xmin = x0; ymin = y0; xmax = x1; ymax = y1 } :: !frags
       in
       (* Left and right slabs, then the middle strips below and above. *)
-      push p.xmin p.ymin (min p.xmax cut.xmin) p.ymax;
-      push (max p.xmin cut.xmax) p.ymin p.xmax p.ymax;
-      let mx0 = max p.xmin cut.xmin and mx1 = min p.xmax cut.xmax in
-      push mx0 p.ymin mx1 (min p.ymax cut.ymin);
-      push mx0 (max p.ymin cut.ymax) mx1 p.ymax;
+      push p.xmin p.ymin (Int.min p.xmax cut.xmin) p.ymax;
+      push (Int.max p.xmin cut.xmax) p.ymin p.xmax p.ymax;
+      let mx0 = Int.max p.xmin cut.xmin and mx1 = Int.min p.xmax cut.xmax in
+      push mx0 p.ymin mx1 (Int.min p.ymax cut.ymin);
+      push mx0 (Int.max p.ymin cut.ymax) mx1 p.ymax;
       !frags
   in
   List.fold_left
@@ -85,17 +91,17 @@ let subtract r cuts =
     cuts
 
 let union_bbox a b =
-  { xmin = min a.xmin b.xmin
-  ; ymin = min a.ymin b.ymin
-  ; xmax = max a.xmax b.xmax
-  ; ymax = max a.ymax b.ymax
+  { xmin = Int.min a.xmin b.xmin
+  ; ymin = Int.min a.ymin b.ymin
+  ; xmax = Int.max a.xmax b.xmax
+  ; ymax = Int.max a.ymax b.ymax
   }
 
 let separation a b =
-  let gap lo1 hi1 lo2 hi2 = max 0 (max (lo2 - hi1) (lo1 - hi2)) in
+  let gap lo1 hi1 lo2 hi2 = Int.max 0 (Int.max (lo2 - hi1) (lo1 - hi2)) in
   let dx = gap a.xmin a.xmax b.xmin b.xmax in
   let dy = gap a.ymin a.ymax b.ymin b.ymax in
-  max dx dy
+  Int.max dx dy
 
 let equal a b =
   a.xmin = b.xmin && a.ymin = b.ymin && a.xmax = b.xmax && a.ymax = b.ymax

@@ -37,10 +37,14 @@ let apply_orient o (p : Point.t) =
 
 let apply t p = Point.add (apply_orient t.orient p) t.shift
 
+let affine_rect a b c d sx sy (r : Rect.t) =
+  let x0 = (a * r.xmin) + (b * r.ymin) and x1 = (a * r.xmax) + (b * r.ymax) in
+  let y0 = (c * r.xmin) + (d * r.ymin) and y1 = (c * r.xmax) + (d * r.ymax) in
+  Rect.make (x0 + sx) (y0 + sy) (x1 + sx) (y1 + sy)
+
 let apply_rect t r =
-  let lo, hi = Rect.corners r in
-  let p = apply t lo and q = apply t hi in
-  Rect.make p.Point.x p.Point.y q.Point.x q.Point.y
+  let a, b, c, d = matrix t.orient in
+  affine_rect a b c d t.shift.Point.x t.shift.Point.y r
 
 let orient_compose o2 o1 =
   let a2, b2, c2, d2 = matrix o2 in

@@ -22,7 +22,19 @@ val translation : int -> int -> t
 (** [apply t p] transforms the point: orientation first, then shift. *)
 val apply : t -> Point.t -> Point.t
 
+(** [apply_rect t r] maps both corners of [r] and renormalizes; it
+    allocates only the result. *)
 val apply_rect : t -> Rect.t -> Rect.t
+
+(** [matrix o] is [o]'s orthogonal matrix [(a, b, c, d)], which maps
+    (x, y) to (a*x + b*y, c*x + d*y).  The tuples are constants: reading
+    one allocates nothing. *)
+val matrix : orient -> int * int * int * int
+
+(** [affine_rect a b c d sx sy r] maps [r] by the matrix [| a b; c d |]
+    and then the shift (sx, sy): [apply_rect] with the transform spelled
+    out as ints, for walks that compose transforms themselves. *)
+val affine_rect : int -> int -> int -> int -> int -> int -> Rect.t -> Rect.t
 
 (** [compose outer inner] is the transform equivalent to applying [inner]
     first and then [outer]: [apply (compose outer inner) p =

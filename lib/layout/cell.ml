@@ -18,11 +18,19 @@ type t =
 
 and inst = { inst_name : string; cell : t; trans : Transform.t }
 
+(* Ids travel with cells through [Marshal] (the on-disk stage cache), so
+   a plain per-process counter would let a cell loaded from disk share
+   its id with a fresh one, and every traversal that dedups by id would
+   merge two different cells.  An id is a random per-process nonce in
+   the high bits and an atomic counter in the low 32 bits, unique across
+   domains and, but for a 2^-30 nonce clash, across processes.  Ids
+   below 2^32 (nonce 0) are left to [stamp]. *)
 let next_id =
-  let counter = ref 0 in
-  fun () ->
-    incr counter;
-    !counter
+  let nonce =
+    1 + (Random.State.bits (Random.State.make_self_init ()) mod 0x3FFF_FFFF)
+  in
+  let counter = Atomic.make 0 in
+  fun () -> (nonce lsl 32) lor (Atomic.fetch_and_add counter 1 land 0xFFFF_FFFF)
 
 let element_bbox = function
   | Box (_, r) -> Some r
@@ -66,19 +74,37 @@ let make ~name ?(ports = []) ?(instances = []) elements =
 
 let empty name = make ~name []
 
+let stamp ~key root =
+  if key < 0 || key > 0xFFFF then invalid_arg "Cell.stamp: key out of range";
+  let memo = Hashtbl.create 16 in
+  let next = ref 0 in
+  let rec go c =
+    match Hashtbl.find_opt memo c.id with
+    | Some c' -> c'
+    | None ->
+      let instances =
+        List.map (fun i -> { i with cell = go i.cell }) c.instances
+      in
+      if !next > 0xFFFF then invalid_arg "Cell.stamp: too many cells";
+      let c' = { c with instances; id = (key lsl 16) lor !next } in
+      incr next;
+      Hashtbl.add memo c.id c';
+      c'
+  in
+  go root
+
 let box l r = Box (l, r)
 let wire l ~width pts = Wire (l, Path.make ~width pts)
 let port pname layer rect = { pname; layer; rect }
 
-let inst_counter = ref 0
+let inst_counter = Atomic.make 0
 
 let instantiate ?name ?(trans = Transform.identity) cell =
   let inst_name =
     match name with
     | Some n -> n
     | None ->
-      incr inst_counter;
-      Printf.sprintf "%s_%d" cell.name !inst_counter
+      Printf.sprintf "%s_%d" cell.name (1 + Atomic.fetch_and_add inst_counter 1)
   in
   { inst_name; cell; trans }
 

@@ -26,7 +26,11 @@ type t = private
   ; instances : inst list
   ; ports : port list
   ; bbox : Rect.t option  (** [None] for a completely empty cell *)
-  ; id : int  (** unique per constructed cell; identity for traversals *)
+  ; id : int
+        (** unique per constructed cell, across domains and processes
+            (a per-process random nonce plus a counter), so cells read
+            back from a stage cache never share an id with fresh ones;
+            identity for traversals *)
   }
 
 and inst = { inst_name : string; cell : t; trans : Transform.t }
@@ -39,6 +43,19 @@ val make :
   name:string -> ?ports:port list -> ?instances:inst list -> element list -> t
 
 val empty : string -> t
+
+(** [stamp ~key c] is [c] with every cell under it renumbered to an id
+    that depends only on [key] (0 .. 65535) and the cell's position in
+    the hierarchy, not on the process that built it.  A generator that
+    builds the same hierarchy in every process (the standard-cell
+    library) stamps it so that copies of its masters read back from a
+    stage cache and the masters built fresh are one cell to every
+    id-keyed traversal, as they are in a compile that never touched the
+    cache.  Distinct hierarchies must use distinct keys.
+
+    @raise Invalid_argument when [key] is out of range or the hierarchy
+    has more than 65536 distinct cells. *)
+val stamp : key:int -> t -> t
 
 (** Convenience constructors. *)
 

@@ -12,7 +12,7 @@ let style = function
   | Layer.Glass -> ("#aaaaaa", 0.5, 6)
 
 let to_svg ?(scale = 3) cell =
-  let flat = Flatten.run cell in
+  let flat = Flatten.view cell in
   let bbox = Cell.bbox_or_zero cell in
   let margin = 4 in
   let ox = bbox.Rect.xmin - margin and oy = bbox.Rect.ymax + margin in
@@ -25,27 +25,31 @@ let to_svg ?(scale = 3) cell =
         viewBox=\"0 0 %d %d\">\n<rect width=\"%d\" height=\"%d\" \
         fill=\"#f8f6f0\"/>\n"
        w h w h w h);
-  (* y flips: lambda y grows upward, SVG y downward *)
-  let boxes =
+  (* y flips: lambda y grows upward, SVG y downward.  Layers are drawn
+     in depth order, each from its last rectangle to its first. *)
+  let by_depth =
     List.sort
-      (fun (a : Flatten.flat_box) b ->
-        let _, _, za = style a.layer and _, _, zb = style b.layer in
+      (fun a b ->
+        let _, _, za = style a and _, _, zb = style b in
         Int.compare za zb)
-      flat
+      Layer.all
   in
   List.iter
-    (fun (fb : Flatten.flat_box) ->
-      let color, opacity, _ = style fb.layer in
-      let r = fb.rect in
-      if not (Rect.is_empty r) then
-        Buffer.add_string buf
-          (Printf.sprintf
-             "<rect x=\"%d\" y=\"%d\" width=\"%d\" height=\"%d\" \
-              fill=\"%s\" fill-opacity=\"%.2f\"/>\n"
-             ((r.Rect.xmin - ox) * scale)
-             ((oy - r.Rect.ymax) * scale)
-             (Rect.width r * scale) (Rect.height r * scale) color opacity))
-    boxes;
+    (fun l ->
+      let color, opacity, _ = style l in
+      let rects = Flatten.layer flat l in
+      for k = Array.length rects - 1 downto 0 do
+        let r = rects.(k) in
+        if not (Rect.is_empty r) then
+          Buffer.add_string buf
+            (Printf.sprintf
+               "<rect x=\"%d\" y=\"%d\" width=\"%d\" height=\"%d\" \
+                fill=\"%s\" fill-opacity=\"%.2f\"/>\n"
+               ((r.Rect.xmin - ox) * scale)
+               ((oy - r.Rect.ymax) * scale)
+               (Rect.width r * scale) (Rect.height r * scale) color opacity)
+      done)
+    by_depth;
   (* port markers *)
   List.iter
     (fun (p : Cell.port) ->

@@ -21,23 +21,21 @@ let crossings polys diffs =
            (fun j -> Rect.inter p diffs.(j))
            (Rect_index.near idx 0 p))
 
+let layer_areas v =
+  Array.map (Array.fold_left (fun acc r -> acc + Rect.area r) 0) v
+
 (* A gate drawn in several boxes is one touch-connected region of
    crossings, so it counts once: one per region root. *)
-let transistor_count c =
-  let flat = Flatten.run c in
-  let layer l =
-    Array.of_list
-      (List.filter_map
-         (fun (fb : Flatten.flat_box) ->
-           if Layer.equal fb.layer l then Some fb.rect else None)
-         flat)
-  in
+let transistors v =
   let region =
     Rect_index.components
       (Rect_index.make
-         (Array.of_list (crossings (layer Layer.Poly) (layer Layer.Diffusion))))
+         (Array.of_list
+            (crossings (Flatten.layer v Layer.Poly) (Flatten.layer v Layer.Diffusion))))
   in
   List.length (List.filteri (fun i r -> i = r) (Array.to_list region))
+
+let transistor_count c = transistors (Flatten.view c)
 
 let count_instances root =
   let memo = Hashtbl.create 64 in
@@ -56,12 +54,13 @@ let count_instances root =
   go root
 
 let measure c =
+  let v = Flatten.view c in
   { cell_name = c.Cell.name
   ; bbox_area = Cell.area c
   ; width = Cell.width c
   ; height = Cell.height c
-  ; layer_area = Flatten.layer_areas c
-  ; transistors = transistor_count c
+  ; layer_area = layer_areas v
+  ; transistors = transistors v
   ; rects = Cell.flat_rect_count c
   ; cells = List.length (Cell.all_cells c)
   ; instances = count_instances c

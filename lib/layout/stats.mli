@@ -19,6 +19,8 @@ type t =
   ; instances : int  (** total instantiations, transitively *)
   }
 
+(** [measure c] flattens [c] once ({!Flatten.view}) and reads every
+    geometric figure from that view. *)
 val measure : Cell.t -> t
 
 (** [crossings polys diffs] is every non-empty poly∩diffusion overlap, one
@@ -27,11 +29,18 @@ val measure : Cell.t -> t
 val crossings :
   Sc_geom.Rect.t array -> Sc_geom.Rect.t array -> Sc_geom.Rect.t list
 
-(** [transistor_count c] counts distinct poly-over-diffusion overlap
-    regions in the flattened layout; overlapping poly rectangles over one
-    diffusion strip are merged so a gate drawn as two abutting boxes counts
-    once. *)
+(** [transistors v] counts distinct poly-over-diffusion overlap regions
+    in a flat view; overlapping poly rectangles over one diffusion strip
+    are merged so a gate drawn as two abutting boxes counts once.  The
+    count does not depend on the order of the view's rectangles. *)
+val transistors : Flatten.t -> int
+
+(** [transistor_count c] is [transistors (Flatten.view c)]. *)
 val transistor_count : Cell.t -> int
+
+(** [layer_areas v] is the total rectangle area per layer of a flat view
+    (double-counting overlaps), indexed by [Layer.index]. *)
+val layer_areas : Flatten.t -> int array
 
 val layer_area : t -> Layer.t -> int
 

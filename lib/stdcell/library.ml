@@ -56,7 +56,16 @@ let cells : cell Sc_cache.Cache.t =
 
 let get kind =
   Sc_cache.Cache.find_or_add cells (Gate.to_string kind) @@ fun () ->
-  let layout = build_layout kind in
+  (* stamped by the kind's position in [Gate.all]: a master read back
+     from a stage cache is the same cell as the one built here *)
+  let key =
+    let rec pos i = function
+      | [] -> invalid_arg "Library.get: unknown kind"
+      | k :: rest -> if k = kind then i else pos (i + 1) rest
+    in
+    pos 0 Gate.all
+  in
+  let layout = Cell.stamp ~key (build_layout kind) in
   { kind
   ; layout
   ; area = Cell.area layout
@@ -75,10 +84,10 @@ let cell_drc : int Sc_cache.Cache.t =
   Sc_cache.Cache.create ~capacity:64 ~name:"celldrc" ()
 
 let drc_violations kind =
-  let flat = Flatten.run (layout_of kind) in
-  let key = Sc_cache.Cache.digest (Marshal.to_string flat []) in
+  let view = Flatten.view (layout_of kind) in
+  let key = Sc_cache.Cache.digest (Marshal.to_string view [ Marshal.No_sharing ]) in
   Sc_cache.Cache.find_or_add cell_drc key (fun () ->
-      List.length (Sc_drc.Checker.check_flat flat))
+      List.length (Sc_drc.Checker.check_flat view))
 
 let drc_clean kind = drc_violations kind = 0
 

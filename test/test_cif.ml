@@ -34,8 +34,9 @@ let hierarchical =
     []
 
 let test_ast_check_ok () =
-  let file = Emit.file_of_cell hierarchical in
-  Alcotest.(check (list string)) "well-formed" [] (Ast.check file)
+  match Parse.parse (Emit.to_string hierarchical) with
+  | Error e -> Alcotest.fail e
+  | Ok file -> Alcotest.(check (list string)) "well-formed" [] (Ast.check file)
 
 let test_ast_check_catches () =
   let bad = [ Ast.Def_start (1, 100, 1); Ast.Def_start (2, 100, 1) ] in
@@ -88,26 +89,28 @@ let test_roundtrip_ports () =
       (Point.equal (Rect.center p.Cell.rect) (Point.make 4 1));
     Alcotest.(check string) "cell name preserved" "leaf" c.Cell.name
 
+(* every flat rectangle, layer by layer *)
+let flat_rects c = List.concat_map Array.to_list (Array.to_list (Flatten.view c))
+
 let test_parse_box_direction () =
   let text = "DS 1 250 1;\nL NM;\nB 4 2 2 1 0 1;\nDF;\nC 1;\nE" in
   match Elaborate.of_string text with
   | Error e -> Alcotest.fail (Elaborate.error_to_string e)
   | Ok c ->
     (* direction (0,1) swaps length and width: the box is 2 wide, 4 tall *)
-    let boxes = Flatten.run c in
+    let boxes = flat_rects c in
     check_int "one box" 1 (List.length boxes);
-    let b = List.hd boxes in
-    check_bool "rotated box" true (Rect.equal b.Flatten.rect (Rect.make 1 (-1) 3 3))
+    check_bool "rotated box" true (Rect.equal (List.hd boxes) (Rect.make 1 (-1) 3 3))
 
 let test_parse_wire () =
   let text = "DS 1 250 1;\nL NP;\nW 2 0 0 6 0;\nDF;\nC 1;\nE" in
   match Elaborate.of_string text with
   | Error e -> Alcotest.fail (Elaborate.error_to_string e)
   | Ok c ->
-    let boxes = Flatten.run c in
+    let boxes = flat_rects c in
     check_int "one segment" 1 (List.length boxes);
     check_bool "padded rect" true
-      (Rect.equal (List.hd boxes).Flatten.rect (Rect.make (-1) (-1) 7 1))
+      (Rect.equal (List.hd boxes) (Rect.make (-1) (-1) 7 1))
 
 let test_parse_polygon_rect () =
   let text = "DS 1 250 1;\nL ND;\nP 0 0 0 4 6 4 6 0;\nDF;\nC 1;\nE" in
@@ -115,13 +118,13 @@ let test_parse_polygon_rect () =
   | Error e -> Alcotest.fail (Elaborate.error_to_string e)
   | Ok c ->
     check_bool "rectangle recovered" true
-      (Rect.equal (List.hd (Flatten.run c)).Flatten.rect (Rect.make 0 0 6 4))
+      (Rect.equal (List.hd (flat_rects c)) (Rect.make 0 0 6 4))
 
 let test_parse_comments_and_lowercase () =
   let text = "(header comment (nested));\nDS 1 250 1;\nL NM;\nBox 4 4 2 2;\nDF;\nC 1;\nE" in
   match Elaborate.of_string text with
   | Error e -> Alcotest.fail (Elaborate.error_to_string e)
-  | Ok c -> check_int "one box" 1 (List.length (Flatten.run c))
+  | Ok c -> check_int "one box" 1 (List.length (flat_rects c))
 
 let test_errors () =
   let unknown_layer = "DS 1 250 1;\nL XX;\nB 2 2 1 1;\nDF;\nE" in

@@ -175,7 +175,7 @@ let test_pdp8_drc_time_budget () =
   let layout =
     Sc_core.Compiler.layout_of_circuit ~name:"pdp8" r.Sc_synth.Synth.circuit
   in
-  let flat = Flatten.run layout in
+  let flat = Flatten.view layout in
   let t0 = Sys.time () in
   let vs = Checker.check_flat flat in
   let dt = Sys.time () -. t0 in
@@ -221,18 +221,16 @@ let test_joint_enclosure_with_far_rail () =
 
 (* The deck written out over all pairs, in the checker's report order:
    width per layer, then spacing per layer, then poly-diffusion spacing,
-   then enclosure, each scanning its layer in xmin order. *)
+   then enclosure, each scanning its layer in xmin order.  [flat] is the
+   layout's boxes in preorder. *)
 let brute_deck flat =
   let out = ref [] in
   let add rule where detail = out := { Checker.rule; where; detail } :: !out in
   let rects l =
-    List.rev
-      (List.filter_map
-         (fun (fb : Flatten.flat_box) ->
-           if Layer.equal fb.layer l && not (Rect.is_empty fb.rect) then
-             Some fb.rect
-           else None)
-         flat)
+    List.filter_map
+      (fun (l', r) ->
+        if Layer.equal l' l && not (Rect.is_empty r) then Some r else None)
+      flat
   in
   let sorted l =
     let a = Array.of_list (rects l) in
@@ -341,8 +339,7 @@ let prop_check_flat_is_brute_deck =
       pair (oneofl [ 1; 3 ])
         ( list_size (int_range 0 40)
             (map3
-               (fun l (x, y) (w, h) ->
-                 { Flatten.layer = l; rect = Rect.of_corner_wh ~x ~y ~w ~h })
+               (fun l (x, y) (w, h) -> (l, Rect.of_corner_wh ~x ~y ~w ~h))
                (oneofl Layer.all)
                (pair (int_range 0 30) (int_range 0 30))
                (pair (int_range 0 12) (int_range 0 12)))
@@ -365,13 +362,16 @@ let prop_check_flat_is_brute_deck =
             Printf.sprintf "pool %d: %s" domains
               (String.concat " "
                  (List.map
-                    (fun (fb : Flatten.flat_box) ->
-                      Layer.to_string fb.layer ^ Rect.to_string fb.rect)
+                    (fun (l, r) -> Layer.to_string l ^ Rect.to_string r)
                     fl)))
           gen)
        (fun (domains, flat) ->
          let pool = List.assoc domains (Lazy.force pools) in
-         Checker.check_flat ~pool flat = brute_deck flat))
+         let view =
+           Flatten.view
+             (cell "flat" (List.map (fun (l, r) -> Cell.box l r) flat))
+         in
+         Checker.check_flat ~pool view = brute_deck flat))
 
 let suite =
   [ Alcotest.test_case "clean layout" `Quick test_clean_layout

@@ -81,7 +81,8 @@ let test_array () =
   check_int "array height" 8 (Cell.height a);
   check_int "instances" 6 (List.length a.Cell.instances);
   (* flattening multiplies the single box by 6 *)
-  check_int "flat rects" 6 (List.length (Flatten.run a))
+  check_int "flat rects" 6
+    (Array.length (Flatten.layer (Flatten.view a) Layer.Metal))
 
 let test_array_shares_definition () =
   let t = tile () in

@@ -355,6 +355,44 @@ let test_modular_concurrent_dedup () =
       rest
   | [] -> Alcotest.fail "no results"
 
+(* An incremental rebuild from the disk stage cache in a second process:
+   the unchanged module's layout comes back from disk and is assembled
+   with a freshly compiled one.  Its CIF must be the cold compile's,
+   byte for byte: cells read back must neither merge with fresh cells
+   nor split the library masters both share. *)
+let test_two_process_modular_edit () =
+  let scc = Filename.concat Filename.parent_dir_name "bin/scc.exe" in
+  let dir = Filename.temp_file "scc-edit" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let rec rm_rf path =
+    if Sys.is_directory path then begin
+      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+  in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let file name = Filename.concat dir name in
+  let write name text = Out_channel.with_open_bin (file name) (fun oc -> output_string oc text) in
+  let scc_behavior args =
+    let cmd =
+      String.concat " " (List.map Filename.quote (scc :: "behavior" :: args))
+      ^ " > " ^ Filename.quote (file "log") ^ " 2>&1"
+    in
+    check_int ("exit of " ^ cmd) 0 (Sys.command cmd)
+  in
+  let cache = "--stage-cache=" ^ file "cache" in
+  write "sys.isp" Designs.system_src;
+  scc_behavior [ file "sys.isp"; cache; "-o"; file "first.cif" ];
+  write "sys.isp" (replace ~sub:"y := a ^ b" ~by:"y := a & b" Designs.system_src);
+  scc_behavior [ file "sys.isp"; cache; "-o"; file "warm.cif" ];
+  scc_behavior [ file "sys.isp"; "-o"; file "cold.cif" ];
+  let read name = In_channel.with_open_bin (file name) In_channel.input_all in
+  check_bool "warm rebuild differs from the first compile" false
+    (String.equal (read "first.cif") (read "warm.cif"));
+  check_string "warm rebuild = cold compile" (read "cold.cif") (read "warm.cif")
+
 let test_modular_rejects_pla () =
   match
     Compiler.compile_behavior ~style:Compiler.Pla_control Designs.system_src
@@ -386,4 +424,6 @@ let suite =
   ; Alcotest.test_case "j1/j4 determinism" `Quick test_modular_determinism
   ; Alcotest.test_case "incremental matrix" `Quick test_modular_incremental
   ; Alcotest.test_case "concurrent dedup" `Quick test_modular_concurrent_dedup
+  ; Alcotest.test_case "two-process incremental rebuild = cold" `Quick
+      test_two_process_modular_edit
   ]

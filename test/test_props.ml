@@ -44,7 +44,10 @@ let prop_array_flat_count =
     (QCheck.Test.make ~name:"array flattens to nx*ny copies" ~count:60
        (QCheck.make gen) (fun (nx, ny) ->
          let a = Compose.array ~name:"a" ~nx ~ny (tile 4 4) in
-         List.length (Flatten.run a) = nx * ny
+         Array.fold_left
+           (fun n rs -> n + Array.length rs)
+           0 (Flatten.view a)
+         = nx * ny
          && Cell.flat_rect_count a = nx * ny))
 
 let prop_flatten_transform_invariant =
@@ -64,18 +67,13 @@ let prop_flatten_transform_invariant =
          in
          let d = Point.make dx dy in
          let expected =
-           List.map
-             (fun (fb : Flatten.flat_box) ->
-               { fb with Flatten.rect = Rect.translate d fb.rect })
-             (Flatten.run inner)
+           Array.map (Array.map (Rect.translate d)) (Flatten.view inner)
          in
-         let got = Flatten.run moved in
-         let key (fb : Flatten.flat_box) =
-           (Layer.index fb.layer, fb.rect.Rect.xmin, fb.rect.Rect.ymin,
-            fb.rect.Rect.xmax, fb.rect.Rect.ymax)
+         let got = Flatten.view moved in
+         let sorted v =
+           Array.map (fun rs -> List.sort Rect.compare (Array.to_list rs)) v
          in
-         List.sort compare (List.map key expected)
-         = List.sort compare (List.map key got)))
+         sorted expected = sorted got))
 
 let prop_area_invariant_under_orientation =
   seeded
